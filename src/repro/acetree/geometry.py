@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.errors import IndexBuildError, QueryError
-from ..core.intervals import Box
+from ..core.intervals import Box, Interval
 
 __all__ = ["TreeGeometry", "choose_height"]
 
@@ -149,7 +149,7 @@ class TreeGeometry:
             )
         self._cell_counts = tuple(cell_counts) if cell_counts is not None else None
         # Per-level (los, his) bound arrays for the 1-D overlapping_nodes
-        # fast path; built lazily on first use.
+        # and estimate_count fast paths; built lazily on first use.
         self._level_bounds: dict[int, tuple[list[float], list[float]]] = {}  # repro: shared[confined] idempotent lazy memo of static shape
 
     # -- static shape --------------------------------------------------------
@@ -352,18 +352,10 @@ class TreeGeometry:
             # overlap predicate ``lo < q.hi and q.lo < hi and lo < hi``
             # bounds to a bisected index range.  Same result, element for
             # element, as the generic scan below.
-            bounds = self._level_bounds.get(level)
-            if bounds is None:
-                boxes = self._boxes[level - 1]
-                bounds = (
-                    [box.sides[0].lo for box in boxes],
-                    [box.sides[0].hi for box in boxes],
-                )
-                self._level_bounds[level] = bounds
-            los, his = bounds
             side = query.sides[0]
             if side.is_empty:
                 return []
+            los, his = self._bounds_1d(level)
             first = bisect_right(his, side.lo)
             last = bisect_left(los, side.hi)
             return [j for j in range(first, last) if los[j] < his[j]]
@@ -415,10 +407,14 @@ class TreeGeometry:
         Cells fully inside the query contribute exactly; boundary cells
         contribute proportionally to the overlapped volume (uniform
         interpolation).  Online aggregation uses this as the population
-        size for its confidence intervals (paper Section III.B).
+        size for its confidence intervals (paper Section III.B).  1-D trees
+        do the same arithmetic over cached leaf bounds; k-d trees intersect
+        a ``Box`` per overlapped leaf.
         """
         if self._cell_counts is None:
             raise QueryError("this geometry was built without cell counts")
+        if self.dims == 1 and query.dims == 1:
+            return self._estimate_count_1d(query.sides[0])
         total = 0.0
         for leaf in self.overlapping_nodes(self.height, query):
             box = self.leaf_box(leaf)
@@ -434,7 +430,52 @@ class TreeGeometry:
                     total += count
         return total
 
+    def _estimate_count_1d(self, side: Interval) -> float:
+        """:meth:`estimate_count`'s ``Box`` loop over cached leaf bounds.
+
+        Visits the same overlapped cells in the same order (the
+        :meth:`overlapping_nodes` fast path's index range) and performs
+        the same float operations on the same values: ``Box.contains``,
+        ``Box.intersect`` and ``Box.volume`` reduce, for one non-empty
+        side, to the comparisons, ``max``/``min`` and subtractions below
+        (``volume()`` multiplies by ``1.0``, which is exact).  The result
+        is therefore bit-identical, without a ``Box`` per cell.
+        """
+        if side.is_empty:
+            return 0.0
+        los, his = self._bounds_1d(self.height)
+        counts = self._cell_counts
+        qlo, qhi = side.lo, side.hi
+        total = 0.0
+        for leaf in range(bisect_right(his, qlo), bisect_left(los, qhi)):
+            lo = los[leaf]
+            hi = his[leaf]
+            if not lo < hi:
+                continue  # empty cell: overlaps nothing
+            if qlo <= lo and hi <= qhi:
+                total += counts[leaf]
+                continue
+            volume = hi - lo  # > 0, as lo < hi
+            if math.isfinite(volume):
+                part = min(hi, qhi) - max(lo, qlo)
+                total += counts[leaf] * part / volume
+            else:  # infinite width: count the cell whole
+                total += counts[leaf]
+        return total
+
     # -- internals ---------------------------------------------------------
+
+    def _bounds_1d(self, level: int) -> tuple[list[float], list[float]]:
+        """The ``(los, his)`` bound lists of a 1-D level's nodes (memoized)."""
+        bounds = self._level_bounds.get(level)
+        if bounds is None:
+            boxes = self._boxes[level - 1]
+            bounds = (
+                [box.sides[0].lo for box in boxes],
+                [box.sides[0].hi for box in boxes],
+            )
+            self._level_bounds[level] = bounds
+        return bounds
 
     def _compute_boxes(self) -> list[list[Box]]:
         boxes: list[list[Box]] = [[self.domain]]

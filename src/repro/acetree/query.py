@@ -72,7 +72,7 @@ from .nodes import LeafView
 if TYPE_CHECKING:  # pragma: no cover
     from .tree import AceTree
 
-__all__ = ["Cell", "SampleBatch", "SampleStream"]
+__all__ = ["Cell", "SampleBatch", "SampleStream", "make_filter"]
 
 #: Sample-count threshold for the time-to-first-k histogram (how fast the
 #: stream delivers a usable first sample, on the simulated clock).
@@ -83,6 +83,23 @@ _STAB_DEPTH_BOUNDS = (1, 2, 3, 4, 6, 8, 12, 16)
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
+
+
+def make_filter(tree: "AceTree", query: Box):
+    """A ``records -> matching list`` filter specialized per query.
+
+    Same result, in the same order, as keeping each record whose key point
+    passes ``query.contains_point`` (every interval is half-open), with the
+    per-record call tower flattened for the 1-D common case.  The stream's
+    scalar section path and the sample view's delta both filter with it.
+    """
+    if len(tree.key_fields) == 1:
+        get = tree.schema.key_getter(tree.key_fields[0])
+        lo, hi = query.sides[0].lo, query.sides[0].hi
+        return lambda records: [r for r in records if lo <= get(r) < hi]
+    key_of = tree.schema.keys_getter(tree.key_fields)
+    contains = query.contains_point
+    return lambda records: [r for r in records if contains(key_of(r))]
 
 
 class Cell:
@@ -268,7 +285,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         self._store = tree.leaf_store
         self._height = geometry.height
         self._key_of = tree.schema.keys_getter(tree.key_fields)
-        self._filter = self._make_filter(tree, query)
+        self._filter = make_filter(tree, query)
         #: ``LeafView -> bool ndarray`` over the leaf's rows, or ``None``
         #: when the key layout cannot be vectorized (the scalar fallback
         #: and the columnar path are record-for-record identical —
@@ -331,22 +348,6 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         self._first_k_recorded = False
         # Degenerate query: no overlap with the domain at all.
         self._exhausted = not geometry.domain.overlaps(query)
-
-    @staticmethod
-    def _make_filter(tree: "AceTree", query: Box):
-        """A ``records -> matching list`` predicate specialized per query.
-
-        Same semantics as filtering each record's key point through
-        ``query.contains_point`` (every interval is half-open), with the
-        per-record call tower flattened for the 1-D common case.
-        """
-        if len(tree.key_fields) == 1:
-            get = tree.schema.key_getter(tree.key_fields[0])
-            lo, hi = query.sides[0].lo, query.sides[0].hi
-            return lambda records: [r for r in records if lo <= get(r) < hi]
-        key_of = tree.schema.keys_getter(tree.key_fields)
-        contains = query.contains_point
-        return lambda records: [r for r in records if contains(key_of(r))]
 
     @staticmethod
     def _make_mask_filter(tree: "AceTree", query: Box):

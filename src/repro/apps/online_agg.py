@@ -40,7 +40,9 @@ class OnlineAggregator:
         value_of: extracts the aggregated numeric value from a record.
         population: number of records matching the predicate (exact or
             estimated from the ACE Tree's internal-node counts).
-        confidence: two-sided confidence level for :meth:`interval`.
+        confidence: two-sided confidence level for :meth:`mean_interval`;
+            fixed at construction (read-only), because the normal quantile
+            it selects is computed once here rather than per interval.
     """
 
     def __init__(
@@ -55,7 +57,8 @@ class OnlineAggregator:
             raise EstimatorError(f"confidence must be in (0, 1), got {confidence}")
         self._value_of = value_of
         self.population = population
-        self.confidence = confidence
+        self._confidence = confidence
+        self._z = stats.norm.ppf(0.5 + confidence / 2)
         self._count = 0
         self._mean = 0.0
         self._m2 = 0.0  # Welford's sum of squared deviations
@@ -73,6 +76,11 @@ class OnlineAggregator:
             self._m2 += delta * (value - self._mean)
 
     # -- estimates ----------------------------------------------------------
+
+    @property
+    def confidence(self) -> float:
+        """The two-sided confidence level (read-only)."""
+        return self._confidence
 
     @property
     def sample_size(self) -> int:
@@ -113,20 +121,23 @@ class OnlineAggregator:
             raise EstimatorError("no samples yet")
         if self._count < 2:
             return math.inf
-        z = stats.norm.ppf(0.5 + self.confidence / 2)
         fpc = 1.0
         if self.population > 1 and self._count < self.population:
             fpc = (self.population - self._count) / (self.population - 1)
         elif self._count >= self.population > 0:
             fpc = 0.0
-        return z * math.sqrt(self.variance / self._count * fpc)
+        return self._z * math.sqrt(self.variance / self._count * fpc)
 
     def relative_half_width(self) -> float:
         """Half-width relative to the current estimate (inf if mean ~ 0)."""
-        mean = self.mean
-        if mean == 0:
-            return math.inf
-        return self.half_width() / abs(mean)
+        return _relative(self.half_width(), self.mean)
+
+
+def _relative(half: float, mean: float) -> float:
+    """``half`` relative to ``|mean|``, or inf when the mean is zero."""
+    if mean == 0:
+        return math.inf
+    return half / abs(mean)
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,27 +174,31 @@ def aggregate_stream(
         # and closes before the yield (no span across generator suspension).
         with TRACER.span("online_agg.tick", detail=True) as sp:
             aggregator.update(batch.records)
-            low, high = aggregator.mean_interval()
+            # One half-width per batch serves both the interval and the
+            # stopping rule.
+            mean = aggregator.mean
+            half = aggregator.half_width()
+            low, high = mean - half, mean + half
             if TRACER.enabled:
                 METRICS.counter("online_agg.records").labels(
                     **CONTEXT.labels()
                 ).inc(len(batch.records))
             if sp is not None:
                 sp.attrs["sample_size"] = aggregator.sample_size
-                sp.attrs["mean"] = aggregator.mean
+                sp.attrs["mean"] = mean
                 sp.attrs["half_width"] = (high - low) / 2
                 sp.attrs["clock"] = batch.clock
         yield ProgressPoint(
             clock=batch.clock,
             sample_size=aggregator.sample_size,
-            mean=aggregator.mean,
+            mean=mean,
             mean_low=low,
             mean_high=high,
         )
         if (
             target_relative_width is not None
             and aggregator.sample_size >= 2
-            and aggregator.relative_half_width() <= target_relative_width
+            and _relative(half, mean) <= target_relative_width
         ):
             return
         if max_records is not None and aggregator.sample_size >= max_records:

@@ -52,7 +52,9 @@ class RippleJoin:
             matching pairs are found via hash lookup and ``predicate`` is
             skipped.
         predicate: general join condition (ignored when keys are given).
-        confidence: two-sided level for :meth:`sum_interval`.
+        confidence: two-sided level for :meth:`sum_interval`; fixed at
+            construction (read-only), because its normal quantile is
+            computed once here rather than per interval.
         groups: number of batch-means groups for the variance estimate.
     """
 
@@ -83,7 +85,8 @@ class RippleJoin:
         self._r_key = r_key
         self._s_key = s_key
         self._predicate = predicate
-        self.confidence = confidence
+        self._confidence = confidence
+        self._z = stats.norm.ppf(0.5 + confidence / 2)
         self.groups = groups
 
         self._r_samples: list[Record] = []
@@ -97,6 +100,11 @@ class RippleJoin:
         self._group_counts = [0] * groups
 
     # -- consuming samples -----------------------------------------------------
+
+    @property
+    def confidence(self) -> float:
+        """The two-sided confidence level (read-only)."""
+        return self._confidence
 
     @property
     def samples_r(self) -> int:
@@ -164,8 +172,7 @@ class RippleJoin:
             return -math.inf, math.inf
         center = self.sum_estimate
         spread = _sample_std(replicates)
-        z = stats.norm.ppf(0.5 + self.confidence / 2)
-        half = z * spread / math.sqrt(len(replicates))
+        half = self._z * spread / math.sqrt(len(replicates))
         return center - half, center + half
 
     def _group_replicates(self) -> list[float]:

@@ -367,6 +367,56 @@ def _serve_benchmarks(n: int, repeat: int) -> tuple[dict, dict]:
     return wall, deterministic
 
 
+def _online_agg_benchmarks(n: int, repeat: int) -> dict:
+    """Online aggregation: wall time per AVG-to-5% answer.
+
+    Each run answers the same three queries (~1%, ~10% and ~50% of the
+    keys) with :func:`~repro.apps.online_agg.aggregate_stream`: AVG(v) until
+    the relative CI half-width reaches 5%, the population estimated from
+    the tree's node counts.  ``answer_seconds`` is the best run's wall time
+    per answer (advisory).  ``progress_sim_seconds`` (simulated time to
+    each answer from a reset clock, summed) and ``samples`` are pure
+    functions of the seed and gate exactly, so a change that moves where
+    an answer crosses its target fails the gate.
+    """
+    from ..apps.online_agg import aggregate_stream
+
+    relation = _fresh_relation(n)
+    tree = build_ace_tree(
+        relation, AceBuildParams(key_fields=("k",), height=8, seed=3)
+    )
+    queries = [Box.of(Interval(0.0, hi)) for hi in (1e7, 1e8, 5e8)]
+    value_of = MICRO_SCHEMA.key_getter("v")
+
+    def answer(index: int, query: Box) -> int:
+        """One answer; returns its sample size."""
+        samples = 0
+        for point in aggregate_stream(
+            tree.sample(query, seed=index), value_of,
+            tree.estimate_count(query), target_relative_width=0.05,
+        ):
+            samples = point.sample_size
+        return samples
+
+    def answer_all(_state) -> None:
+        for index, query in enumerate(queries):
+            answer(index, query)
+
+    seconds = _best_of(repeat, lambda: None, answer_all)
+    sim_seconds = 0.0
+    samples = 0
+    for index, query in enumerate(queries):
+        tree.disk.reset_clock()
+        samples += answer(index, query)
+        sim_seconds += tree.disk.clock
+    return {
+        "answers": len(queries),
+        "answer_seconds": seconds / len(queries),
+        "progress_sim_seconds": sim_seconds,
+        "samples": samples,
+    }
+
+
 def _span_overhead_benchmarks(repeat: int) -> dict:
     """Per-span cost of ``TRACER.span`` on its cheap paths, in ns.
 
@@ -631,6 +681,7 @@ def run_micro(n: int = 20_000, repeat: int = 5, figures: bool = False) -> dict:
     serve_wall, serve_det = _serve_benchmarks(n, repeat)
     results["serve_wall"] = serve_wall
     results["serve"] = serve_det
+    results["online_agg"] = _online_agg_benchmarks(n, repeat)
     if figures:
         results["figure_sim"] = _figure_benchmarks()
     # The aggregate profile over the whole suite (the last reset happens in

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..acetree import AceBuildParams, AceTree, build_ace_tree
+from ..acetree.query import make_filter
 from ..baselines.base import Batch
 from ..core.intervals import Box
 from ..core.records import Record
@@ -136,12 +137,9 @@ class MaterializedSampleView:
 
     def _sample_with_delta(self, query: Box, seed: int) -> Iterator[Batch]:
         rng = derive_random(seed, "view-delta")
-        key_of = self.tree.schema.keys_getter(self.key_fields)
         disk = self.tree.disk
 
-        delta_matching = [
-            record for record in self._delta if query.contains_point(key_of(record))
-        ]
+        delta_matching = make_filter(self.tree, query)(self._delta)
         rng.shuffle(delta_matching)
         disk.charge_records(len(self._delta))
 
@@ -182,10 +180,7 @@ class MaterializedSampleView:
 
     def estimate_count(self, query: Box) -> float:
         """Estimated matching records across base and delta."""
-        key_of = self.tree.schema.keys_getter(self.key_fields)
-        delta_count = sum(
-            1 for record in self._delta if query.contains_point(key_of(record))
-        )
+        delta_count = len(make_filter(self.tree, query)(self._delta))
         return self.tree.estimate_count(query) + delta_count
 
     def free(self) -> None:

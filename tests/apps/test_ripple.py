@@ -2,10 +2,13 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import repro.apps.ripple as ripple
 from repro.apps import RippleJoin, ripple_join_streams
 from repro.baselines.base import Batch
 from repro.core.errors import EstimatorError
@@ -152,6 +155,49 @@ class TestStatistics:
         join.add_s(s_shuffled[60:600])
         late = join.relative_half_width()
         assert late < early
+
+
+class TestCachedQuantile:
+    def test_quantile_evaluated_once_per_join(self, monkeypatch):
+        calls = []
+
+        def ppf(q):
+            calls.append(q)
+            return stats.norm.ppf(q)
+
+        monkeypatch.setattr(ripple, "stats",
+                            SimpleNamespace(norm=SimpleNamespace(ppf=ppf)))
+        table_r, table_s = make_tables(seed=8)
+        join = make_join(table_r, table_s, confidence=0.9)
+        for r_batch, s_batch in zip(batches_of(table_r, 20, 1),
+                                    batches_of(table_s, 15, 2)):
+            join.add_r(r_batch.records)
+            join.add_s(s_batch.records)
+            join.sum_interval()
+        assert calls == [0.5 + 0.9 / 2]
+
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_interval_equals_per_call_formula(self, confidence):
+        table_r, table_s = make_tables(seed=9)
+        join = make_join(table_r, table_s, confidence=confidence)
+        rng = random.Random(3)
+        join.add_r(rng.sample(table_r, 120))
+        join.add_s(rng.sample(table_s, 90))
+        replicates = join._group_replicates()
+        mean = sum(replicates) / len(replicates)
+        spread = math.sqrt(sum((v - mean) ** 2 for v in replicates)
+                           / (len(replicates) - 1))
+        z = stats.norm.ppf(0.5 + confidence / 2)
+        half = z * spread / math.sqrt(len(replicates))
+        center = join.sum_estimate
+        assert join.sum_interval() == (center - half, center + half)
+
+    def test_confidence_is_read_only(self):
+        table_r, table_s = make_tables()
+        join = make_join(table_r, table_s, confidence=0.9)
+        with pytest.raises(AttributeError):
+            join.confidence = 0.5
+        assert join.confidence == 0.9
 
 
 class TestStreamDriver:

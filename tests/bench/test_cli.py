@@ -61,6 +61,11 @@ class TestBench:
         assert overhead["noop_ns_per_span"] < 5_000  # near-free when disabled
         assert overhead["detail_ns_per_span"] < 5_000
         assert results["ace_query"]["samples_per_s"] > 0
+        online = results["online_agg"]
+        assert online["answers"] == 3
+        assert online["answer_seconds"] > 0
+        assert online["progress_sim_seconds"] > 0
+        assert online["samples"] > 0
         program = results["program_lint"]
         # The blocking CI pass must stay inside its 5-second budget.
         assert program["wall_seconds"] < 5.0
@@ -75,6 +80,13 @@ class TestBench:
         assert classify("program_lint.call_edges") == "ignore"
         assert classify("program_lint.findings") == "ignore"
         assert classify("program_lint.wall_seconds") == "lower_better"
+
+    def test_online_agg_targets_gated_exactly(self):
+        from repro.obs.regress import classify
+
+        assert classify("online_agg.progress_sim_seconds") == "exact"
+        assert classify("online_agg.samples") == "exact"
+        assert classify("online_agg.answer_seconds") == "lower_better"
 
     def test_invalid_args_rejected(self, capsys):
         assert main(["bench", "--n", "0"]) == 2

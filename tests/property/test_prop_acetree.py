@@ -1,10 +1,13 @@
 """Property-based tests for the ACE Tree's core invariants."""
 
+import math
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.acetree import TreeGeometry
+from repro.core import Box, Interval
 from repro.testkit.generators import build_ace as build
 from repro.testkit.generators import int_ranges, key_lists
 
@@ -105,3 +108,96 @@ class TestKaryPropertyInvariants:
         got = [r for batch in stream for r in batch.records]
         expected = [r for r in records if lo <= r[0] <= hi]
         assert Counter(r[1] for r in got) == Counter(r[1] for r in expected)
+
+
+# -- population estimate -------------------------------------------------------
+
+#: Split keys and query bounds: whole values (often repeated, so cells
+#: collapse to empty), fractional values, and the infinities.
+key_value = st.one_of(
+    st.integers(-10, 110).map(float),
+    st.floats(-10.0, 110.0, allow_nan=False),
+    st.sampled_from([-math.inf, math.inf]),
+)
+
+
+@st.composite
+def geometries_1d(draw):
+    """1-D geometries with counts: nested (build-shaped) or arbitrary splits.
+
+    Arbitrary splits are clamped into their parent's box at construction,
+    which yields runs of empty cells that still carry counts.
+    """
+    arity = draw(st.sampled_from([2, 2, 3]))
+    height = draw(st.integers(2, 6 if arity == 2 else 4))
+    lo = draw(st.one_of(st.just(-math.inf), st.floats(-20.0, 40.0)))
+    hi = draw(st.one_of(st.just(math.inf), st.floats(60.0, 120.0)))
+    leaves = arity ** (height - 1)
+    if draw(st.booleans()):
+        keys = sorted(draw(st.lists(key_value, min_size=leaves - 1,
+                                    max_size=leaves - 1)))
+        splits = [
+            [
+                tuple(keys[(j * arity + c + 1) * arity ** (height - 2 - s) - 1]
+                      for c in range(arity - 1))
+                for j in range(arity ** s)
+            ]
+            for s in range(height - 1)
+        ]
+    else:
+        pool = draw(st.lists(key_value, min_size=1, max_size=6))
+        splits = [
+            [
+                tuple(sorted(draw(st.sampled_from(pool))
+                             for _ in range(arity - 1)))
+                for _ in range(arity ** s)
+            ]
+            for s in range(height - 1)
+        ]
+    # Large counts make float rounding in the running total observable.
+    count = st.one_of(st.integers(0, 1000), st.integers(0, 2 ** 53))
+    counts = draw(st.lists(count, min_size=leaves, max_size=leaves))
+    return TreeGeometry(Box.of(Interval(lo, hi)), splits, cell_counts=counts,
+                        arity=arity)
+
+
+query_bounds = st.tuples(
+    st.one_of(key_value, st.floats(-1e3, 1e3, allow_nan=False)),
+    st.one_of(key_value, st.floats(-1e3, 1e3, allow_nan=False)),
+).map(sorted)
+
+
+def box_loop_estimate(geometry, query):
+    """The k-d ``estimate_count``: one ``Box`` per overlapped leaf cell."""
+    total = 0.0
+    for leaf in range(geometry.num_leaves):
+        box = geometry.leaf_box(leaf)
+        if not box.overlaps(query):
+            continue
+        count = geometry.cell_count(leaf)
+        if query.contains(box):
+            total += count
+        else:
+            part = box.intersect(query)
+            volume = box.volume()
+            if volume > 0 and math.isfinite(volume):
+                total += count * part.volume() / volume
+            else:
+                total += count
+    return total
+
+
+class TestEstimateCount1D:
+    @given(geometries_1d(), st.lists(query_bounds, min_size=1, max_size=20))
+    @example(  # a whole cell whose count * width / width is not its count
+        TreeGeometry(Box.of(Interval(0.0, 100.0)), [[59.138], [48.39, 80.0]],
+                     cell_counts=[1, 914, 1, 1]),
+        [(48.39, 59.138)],
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_equals_box_loop(self, geometry, bounds):
+        for lo, hi in bounds:
+            query = Box.of(Interval(lo, hi))
+            assert geometry.estimate_count(query) == box_loop_estimate(
+                geometry, query
+            )
