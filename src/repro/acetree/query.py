@@ -54,6 +54,7 @@ cache-warm streams emit the same records in the same order as cold ones.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 
@@ -83,6 +84,20 @@ _STAB_DEPTH_BOUNDS = (1, 2, 3, 4, 6, 8, 12, 16)
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
+
+
+@lru_cache(maxsize=32)
+def _stab_level_names(height: int) -> tuple[tuple[str, str, str], ...]:
+    """``stab.level.{L}.{overlap,drain,pruned}`` counter names, indexed by L.
+
+    Shared by every stream over a tree of *height*, so a traced run holds
+    one copy per height, not one per stream.
+    """
+    return tuple(
+        tuple(f"stab.level.{level}.{branch}"
+              for branch in ("overlap", "drain", "pruned"))
+        for level in range(height)
+    )
 
 
 def make_filter(tree: "AceTree", query: Box):
@@ -527,7 +542,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         self.lost_leaves.append(leaf_index)
         TRACER.count("ace_query.lost_leaves")
         if TRACER.enabled:
-            METRICS.counter("query.lost_leaves").labels(**CONTEXT.labels()).inc()
+            METRICS.counter("query.lost_leaves").child(CONTEXT.label_key()).inc()
         if sp is not None:
             sp.attrs["lost_leaf"] = leaf_index
         # A lost leaf means recovery already exhausted its retries (or hit
@@ -536,15 +551,15 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
 
     def _record_query_metrics(self) -> None:
         """Per-batch metric updates; only called while tracing is enabled."""
-        labels = CONTEXT.labels()
-        METRICS.gauge("query.buffered_records").labels(**labels).set(
+        key = CONTEXT.label_key()
+        METRICS.gauge("query.buffered_records").child(key).set(
             self.stats.buffered_records
         )
         if not self._first_k_recorded and self.stats.records_emitted >= _FIRST_K:
             self._first_k_recorded = True
             METRICS.histogram(
                 f"query.time_to_first_{_FIRST_K}_sim_s", _TTFK_BOUNDS
-            ).labels(**labels).observe(self.tree.disk.clock - self._start_clock)
+            ).child(key).observe(self.tree.disk.clock - self._start_clock)
 
     def population_estimate(self) -> float:
         """Estimated matching-record count, from internal-node counts."""
@@ -595,6 +610,12 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         prefer those overlapping the query; break remaining ties
         round-robin (the paper's per-node alternation — a toggle bit for
         the binary tree, a rotating pointer for k-ary trees).
+
+        While tracing, every level bumps ``stab.level.{L}.overlap`` (some
+        live child overlaps the query) or ``.drain`` (none does), plus
+        ``.pruned`` by the live children an overlapping sibling beat, and
+        the stab ends with one ``query.stab_depth`` observation — all
+        labeled by the context key, read once per stab.
         """
         self.stats.stabs += 1
         # CPU for the descent (internal nodes are memory resident).
@@ -604,9 +625,8 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         overlap_sets = self._overlap_sets
         next_child = self._next_child
         alternate = self.alternate
-        tracing = TRACER.enabled
         level, index = 1, 0
-        if arity == 2 and not tracing:
+        if arity == 2:
             # Binary fast path: same choices as the generic loop below
             # (pool = [0, 1] in ascending order, so the rotating pointer
             # resolves to itself and advances to the other child), without
@@ -635,6 +655,8 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
                     raise QueryError("stab reached a fully-done subtree")
                 level += 1
                 index = base + choice
+            if TRACER.enabled:
+                self._count_stab(index)
             return index
         while level < self._height:
             base = arity * index
@@ -645,26 +667,10 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
                 c for c in range(arity)
                 if not flags[base + c] and base + c in overlap
             ]
-            if not pool or tracing:
-                alive = [c for c in range(arity) if not flags[base + c]]
-                if not alive:  # pragma: no cover - parent would be marked done
+            if not pool:
+                pool = [c for c in range(arity) if not flags[base + c]]
+                if not pool:  # pragma: no cover - parent would be marked done
                     raise QueryError("stab reached a fully-done subtree")
-                if tracing:
-                    branch = "overlap" if pool else "drain"
-                    labels = CONTEXT.labels()
-                    METRICS.counter(
-                        f"stab.level.{level}.{branch}"
-                    ).labels(**labels).inc()
-                    pruned = len(alive) - len(pool)
-                    if pool and pruned:
-                        # Children deferred because a query-overlapping
-                        # sibling won the descent: the pruned subtrees of
-                        # this stab.
-                        METRICS.counter(
-                            f"stab.level.{level}.pruned"
-                        ).labels(**labels).inc(pruned)
-                if not pool:
-                    pool = alive
             if len(pool) == 1 or not alternate:
                 choice = pool[0]
             else:
@@ -680,11 +686,49 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
                     choice = pool[0]
                 next_child[(level, index)] = (choice + 1) % arity
             level, index = child_level, base + choice
-        if tracing:
-            METRICS.histogram(
-                "query.stab_depth", _STAB_DEPTH_BOUNDS
-            ).labels(**CONTEXT.labels()).observe(self._height - 1)
+        if TRACER.enabled:
+            self._count_stab(index)
         return index
+
+    def _count_stab(self, leaf_index: int) -> None:
+        """The traced counters of a descent that ended at *leaf_index*.
+
+        A stab reads the done flags and overlap sets but never writes
+        them, so each level's view is recomputed here from the path (the
+        level-``L`` node is ``leaf_index // arity ** (height - L)``): its
+        live children, and among them the query-overlapping ones the
+        descent preferred.  Levels are counted in descent order, then one
+        ``query.stab_depth`` observation; the descents stay free of
+        tracing code.
+        """
+        key = CONTEXT.label_key()
+        counter = METRICS.counter
+        arity, height = self._arity, self._height
+        names = _stab_level_names(height)
+        done_flags = self._done_flags
+        overlap_sets = self._overlap_sets
+        for level in range(1, height):
+            base = arity * (leaf_index // arity ** (height - level))
+            flags = done_flags[level]
+            overlap = overlap_sets[level]
+            alive = overlapping = 0
+            for node in range(base, base + arity):
+                if not flags[node]:
+                    alive += 1
+                    if node in overlap:
+                        overlapping += 1
+            overlap_name, drain_name, pruned_name = names[level]
+            if overlapping:
+                counter(overlap_name).child(key).inc()
+                if alive > overlapping:
+                    # Live children deferred because a query-overlapping
+                    # sibling won the descent: this stab's pruned subtrees.
+                    counter(pruned_name).child(key).inc(alive - overlapping)
+            else:
+                counter(drain_name).child(key).inc()
+        METRICS.histogram(
+            "query.stab_depth", _STAB_DEPTH_BOUNDS
+        ).child(key).observe(height - 1)
 
     def _mark_done(self, leaf_index: int) -> None:
         """Mark a leaf done and propagate doneness up the tree."""

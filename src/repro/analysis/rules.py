@@ -25,7 +25,8 @@ HOT001   the columnar query hot path (``acetree/query.py``,
 OBS001   literal metric names passed to the metrics registry must be
          dot-namespaced ``subsystem.name``; ``.labels()`` keyword keys
          must come from the registered label vocabulary
-         (``repro.obs.context.LABEL_KEYS``).
+         (``repro.obs.context.LABEL_KEYS``); ``.child()`` takes no
+         hand-built (tuple literal) label set.
 OBS002   exemplar and cost capture go through the sanctioned boundary:
          only the obs substrate and the storage charge points may mutate
          the cost accountant's ledger, call ``current_span_id()``, or
@@ -556,6 +557,16 @@ def check_obs_naming(ctx: LintContext) -> Iterator[Finding]:
                     node,
                     f"metric name {first.value!r} is not dot-namespaced; "
                     "use 'subsystem.name' (e.g. 'query.lost_leaves')",
+                )
+        elif func.attr == "child":
+            # ``child()`` trusts its key; only CONTEXT.label_key() feeds it.
+            if node.args and isinstance(node.args[0], ast.Tuple):
+                yield ctx.finding(
+                    "OBS001",
+                    node,
+                    "hand-built label set passed to child(); pass "
+                    "CONTEXT.label_key() or use labels(**kw), which "
+                    "checks keys against LABEL_KEYS",
                 )
         elif func.attr == "labels":
             for kw in node.keywords:

@@ -180,8 +180,8 @@ def aggregate_stream(
             half = aggregator.half_width()
             low, high = mean - half, mean + half
             if TRACER.enabled:
-                METRICS.counter("online_agg.records").labels(
-                    **CONTEXT.labels()
+                METRICS.counter("online_agg.records").child(
+                    CONTEXT.label_key()
                 ).inc(len(batch.records))
             if sp is not None:
                 sp.attrs["sample_size"] = aggregator.sample_size

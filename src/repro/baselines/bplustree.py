@@ -275,7 +275,7 @@ class RankedBPlusTree:
             return
         rng = derive_random(seed, "bplus-sample")
         emitted = (
-            METRICS.counter("baseline.records").labels(**CONTEXT.labels())
+            METRICS.counter("baseline.records").child(CONTEXT.label_key())
             if TRACER.enabled else None
         )
         used: set[int] = set()
@@ -321,7 +321,7 @@ class RankedBPlusTree:
         rng = derive_random(seed, "bplus-blocks")
         rng.shuffle(pages)
         emitted = (
-            METRICS.counter("baseline.records").labels(**CONTEXT.labels())
+            METRICS.counter("baseline.records").child(CONTEXT.label_key())
             if TRACER.enabled else None
         )
         side = query.sides[0]

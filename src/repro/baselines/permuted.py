@@ -108,7 +108,7 @@ class PermutedFile:
         # yield (a span never stays open across a generator suspension).
         views = iter(self.heap.scan_page_views())
         emitted = (
-            METRICS.counter("baseline.records").labels(**CONTEXT.labels())
+            METRICS.counter("baseline.records").child(CONTEXT.label_key())
             if TRACER.enabled else None
         )
         while True:

@@ -349,7 +349,7 @@ class RTree:
             return
         rng = derive_random(seed, "rtree-sample")
         emitted = (
-            METRICS.counter("baseline.records").labels(**CONTEXT.labels())
+            METRICS.counter("baseline.records").child(CONTEXT.label_key())
             if TRACER.enabled else None
         )
         used: set[int] = set()

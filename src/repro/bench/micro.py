@@ -469,32 +469,43 @@ def _span_overhead_benchmarks(repeat: int) -> dict:
 def _label_overhead_benchmarks(repeat: int) -> dict:
     """Per-update cost of labeled vs. unlabeled counter increments, in ns.
 
-    Both loops go through ``family.labels(**labels).inc()`` — exactly what
-    instrumented call sites do with ``**CONTEXT.labels()`` — so the ratio
-    isolates what a pushed telemetry context adds: child resolution (memo
-    hit) plus the double value update.  A private registry keeps the
-    global ``METRICS`` clean; the cardinality cap is exercised here too,
-    and ``dropped_label_sets`` reports the *global* registry's overflow
+    Every loop goes through ``family.child(CONTEXT.label_key()).inc()`` —
+    exactly what instrumented call sites do — so the numbers isolate what
+    a pushed telemetry context adds: the child lookup plus the double
+    value update (``labeled``), or, for a label set past the family's
+    cardinality cap, the fallback to the family plus the per-call drop
+    count (``overflow`` — what every serve step past the 64th (tenant,
+    query) pair pays).  A private registry keeps the global ``METRICS``
+    clean; the cardinality cap is exercised here too, and
+    ``dropped_label_sets`` reports the *global* registry's overflow
     counter, which the regression rules gate at exactly zero.
     """
+    from ..obs.context import CONTEXT
     from ..obs.metrics import DROPPED_LABEL_SETS, METRICS, MetricsRegistry
 
     incs = 50_000
     registry = MetricsRegistry()
     family = registry.counter("micro.label_overhead")
+    overflowing = registry.counter("micro.label_overflow")
+    for query_index in range(registry.max_label_sets):
+        overflowing.labels(tenant="t0", query=f"q{query_index}")
 
-    def loop_unlabeled(_state) -> None:
-        labels: dict = {}
+    def loop(counter) -> None:
+        label_key = CONTEXT.label_key
         for _ in range(incs):
-            family.labels(**labels).inc()
+            counter.child(label_key()).inc()
 
     def loop_labeled(_state) -> None:
-        labels = {"tenant": "t0", "query": "q0"}
-        for _ in range(incs):
-            family.labels(**labels).inc()
+        with CONTEXT.push(tenant="t0", query="q0"):
+            loop(family)
 
-    unlabeled_s = _best_of(repeat, lambda: None, loop_unlabeled)
+    def loop_overflow(_state) -> None:
+        with CONTEXT.push(tenant="t0", query="q-over"):
+            loop(overflowing)
+
+    unlabeled_s = _best_of(repeat, lambda: None, lambda _: loop(family))
     labeled_s = _best_of(repeat, lambda: None, loop_labeled)
+    overflow_s = _best_of(repeat, lambda: None, loop_overflow)
 
     # Deterministic cap check on a throwaway registry: two admitted label
     # sets, the third falls back to the family and counts one drop.
@@ -511,6 +522,7 @@ def _label_overhead_benchmarks(repeat: int) -> dict:
         "incs_per_run": incs,
         "unlabeled_ns_per_inc": unlabeled_s / incs * 1e9,
         "labeled_ns_per_inc": labeled_s / incs * 1e9,
+        "overflow_ns_per_inc": overflow_s / incs * 1e9,
         "labeled_overhead_ratio": labeled_s / unlabeled_s,
         "cap_fallback_ok": int(cap_ok),
         "dropped_label_sets": METRICS.snapshot()["counters"].get(

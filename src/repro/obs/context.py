@@ -22,9 +22,15 @@ ambiently.
   disjoint baggage, which is exactly the propagation model ROADMAP
   item 1's scheduler needs (one tenant per traversal step).
 
-An empty context yields an empty label dict, and
-``metric.labels()`` with no labels returns the unlabeled aggregate — so
-code instrumented with ``.labels(**CONTEXT.labels())`` behaves
+* Each frame also carries its **canonical key** — the
+  :func:`canonical_label_set` of the merged baggage, computed once by
+  ``push`` while it validates the keys.  :meth:`TelemetryContext.label_key`
+  returns it, so instrumented sites resolve labeled metric children
+  (``family.child(CONTEXT.label_key())``), exemplar label sets and cost
+  attribution once per push instead of re-canonicalizing per update.
+
+An empty context yields an empty label dict and the empty key ``()``,
+and a family resolves ``()`` to itself — so instrumented code behaves
 bit-identically to the unlabeled PR 3 form when nothing was pushed.
 """
 
@@ -75,35 +81,50 @@ def render_label_set(label_set: tuple) -> str:
     return ",".join(f"{key}={value}" for key, value in label_set)
 
 
+class _Frames(local):  # repro: shared[confined] one frame stack per thread (threading.local)
+    """One thread's frame stack: ``(merged baggage, canonical key)`` pairs.
+
+    ``threading.local`` runs ``__init__`` on each thread's first access, so
+    every thread starts from the empty frame.
+    """
+
+    def __init__(self) -> None:
+        self.stack = [({}, ())]
+
+
 class TelemetryContext:
     """Per-thread stack of merged label dicts (see module docstring)."""
 
     __slots__ = ("_local",)
 
     def __init__(self) -> None:
-        self._local = local()
+        self._local = _Frames()
 
     def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = [{}]
-        return stack
+        return self._local.stack
 
     def current(self) -> dict:
         """The active merged baggage (treat as read-only; ``{}`` when empty)."""
-        return self._stack()[-1]
+        return self._local.stack[-1][0]
 
-    #: Alias: the baggage *is* the label dict instrumented sites splat
-    #: into ``metric.labels(**CONTEXT.labels())``.
+    #: Alias: the baggage *is* the label dict —
+    #: ``metric.labels(**CONTEXT.labels())`` resolves the same child as
+    #: ``metric.child(CONTEXT.label_key())``.
     labels = current
+
+    def label_key(self) -> tuple:
+        """``canonical_label_set(current())``, computed once per push."""
+        return self._local.stack[-1][1]
 
     @contextmanager
     def push(self, **baggage):
         """Push *baggage* merged over the current frame for the ``with`` body."""
-        canonical_label_set(baggage)  # validate keys before mutating the stack
-        stack = self._stack()
-        merged = {**stack[-1], **{k: str(v) for k, v in baggage.items()}}
-        stack.append(merged)
+        stack = self._local.stack
+        merged = {**stack[-1][0], **{k: str(v) for k, v in baggage.items()}}
+        # The enclosing frame's keys are already valid, so canonicalizing
+        # the merge validates *baggage* before the stack is mutated.
+        key = canonical_label_set(merged)
+        stack.append((merged, key))
         try:
             yield merged
         finally:
@@ -111,7 +132,7 @@ class TelemetryContext:
 
     def clear(self) -> None:
         """Drop every frame on the calling thread (test isolation hook)."""
-        self._local.stack = [{}]
+        self._local.stack = [({}, ())]
 
 
 CONTEXT = TelemetryContext()  # repro: shared[confined] per-thread baggage stack (threading.local)

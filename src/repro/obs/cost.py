@@ -29,7 +29,8 @@ Design constraints, in order:
   call-site set so ad-hoc attribution can't silently double-count.
 
 The accountant keys attribution by the canonical label-set tuple of the
-ambient baggage (the same tuple the labeled metric families use), so the
+ambient baggage (``CONTEXT.label_key()``, the same tuple the labeled
+metric families resolve their children by), so the
 ``obs.cost.page_reads`` counters published at recorder uninstall line up
 series-for-series with the engine's own labeled metrics.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from threading import Lock
 
-from .context import CONTEXT, canonical_label_set, render_label_set
+from .context import CONTEXT, render_label_set
 
 __all__ = ["COST", "CostAccountant"]
 
@@ -100,21 +101,21 @@ class CostAccountant:  # repro: shared[lock=_lock] attribution ledger; every mut
         Call **after** incrementing ``stats.page_reads`` so the baseline
         arithmetic in :meth:`_track` sees the post-charge counter.
         """
-        label_set = canonical_label_set(CONTEXT.current())
+        label_set = CONTEXT.label_key()
         with self._lock:
             self._track(stats, count, 0)
             self._reads[label_set] = self._reads.get(label_set, 0) + count
 
     def record_writes(self, stats, count: int = 1) -> None:
         """Attribute *count* page writes just charged to *stats*."""
-        label_set = canonical_label_set(CONTEXT.current())
+        label_set = CONTEXT.label_key()
         with self._lock:
             self._track(stats, 0, count)
             self._writes[label_set] = self._writes.get(label_set, 0) + count
 
     def record_io(self, seconds: float) -> None:
         """Attribute *seconds* of charged retry/backoff I/O delay."""
-        label_set = canonical_label_set(CONTEXT.current())
+        label_set = CONTEXT.label_key()
         with self._lock:
             self._io[label_set] = self._io.get(label_set, 0.0) + seconds
 

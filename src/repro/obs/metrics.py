@@ -19,14 +19,21 @@ refinement, never a fork.  The rules:
 * label keys come from the registered vocabulary
   (:data:`repro.obs.context.LABEL_KEYS`; lint rule OBS001 enforces this
   statically) and serialize in fixed vocabulary order;
-* ``labels()`` with no labels returns the parent itself — call sites can
-  splat ``**CONTEXT.labels()`` unconditionally;
+* a family indexes its children by the canonical label-set tuple.
+  ``child(label_set)`` resolves such a tuple directly and trusts it, so
+  only ``CONTEXT.label_key()`` feeds it — the key the telemetry context
+  validated and computed once per push (lint rule OBS001 flags a tuple
+  literal passed to ``child()``).  ``labels(**kw)`` canonicalizes its
+  keyword arguments and takes the same path.  The empty tuple (no
+  labels, or nothing pushed) resolves to the parent itself;
 * each family admits at most ``max_label_sets`` distinct label sets
-  (default :data:`DEFAULT_MAX_LABEL_SETS`).  Past the cap, ``labels()``
+  (default :data:`DEFAULT_MAX_LABEL_SETS`).  Past the cap, resolution
   falls back to the parent (the aggregate never loses updates) and the
   registry's ``obs.metrics.dropped_label_sets`` counter is bumped once
-  per rejected call — the regress rules gate it at exactly zero on bench
-  runs, so silent cardinality overflow cannot ship.
+  per rejected call.  A run with more label sets than the cap — any
+  serve run with more than 64 (tenant, query) pairs — therefore counts
+  calls there, not label sets.  The bench micro suite's own registry
+  never overflows, and the regress rules gate its count at zero.
 
 **Exemplars.**  While tracing is on, every histogram observation may
 carry a pointer back to the span that produced it: a bounded
@@ -42,9 +49,11 @@ ad-hoc span-id plumbing outside this module.
 Instrumentation that feeds the registry from hot paths guards on
 ``TRACER.enabled`` so an untraced run pays nothing.  All mutation is
 lock-protected — one lock per metric family, shared between the parent
-and its children, making concurrent ``.labels().inc()`` exact.  Armed
-flight recorders (:mod:`repro.obs.flight`) see every update as a
-``"metric"`` event.
+and its children, making concurrent ``.labels().inc()`` exact.  Lookups
+that find an existing family or child, and misses on a family at its
+cap, read the dicts without a lock (single dict reads under the GIL;
+every write holds the lock).  Armed flight recorders (:mod:`repro.obs.flight`)
+see every update as a ``"metric"`` event.
 """
 
 from __future__ import annotations
@@ -77,58 +86,66 @@ DROPPED_LABEL_SETS = "obs.metrics.dropped_label_sets"
 EXEMPLARS_PER_BUCKET = 4
 
 
-def _resolve_child(parent, labels: dict, factory):
-    """Family-level ``labels()``: get-or-create the child for *labels*.
+class _Family:
+    """Label-set resolution shared by the three metric kinds."""
 
-    Falls back to *parent* (and fires its drop hook) when the family is
-    at its cardinality cap; the hook runs outside the family lock so the
-    registry's overflow counter can be bumped without lock nesting.
+    __slots__ = ()
 
-    Hot-path note: instrumented sites resolve the same label set once per
-    record, so admitted resolutions are memoized by the *raw* kwargs
-    tuple, skipping canonicalization and the lock on repeat lookups (the
-    memo is written under the lock, read lock-free under the GIL, and
-    bounded at a few entries per admitted child — differently-ordered or
-    unstringified duplicates of a label set alias the same child).
-    Overflowing label sets are never memoized, so each dropped call keeps
-    firing the drop hook.
-    """
-    if not labels:
-        return parent
-    raw = tuple(labels.items())
-    memo = parent._memo
-    if memo is not None:
-        child = memo.get(raw)
-        if child is not None:
-            return child
-    if parent._parent is not None:
-        raise ValueError(
-            f"metric {parent.name!r} is already labeled; call labels() on "
-            "the unlabeled family"
-        )
-    key = canonical_label_set(labels)
-    dropped = False
-    with parent._lock:
-        children = parent._children
-        if children is None:
-            children = parent._children = {}
-        child = children.get(key)
-        if child is None:
-            if len(children) >= parent._max_label_sets:
-                dropped = True
-            else:
-                child = children[key] = factory(key)
-        if not dropped:
-            memo = parent._memo
-            if memo is None:
-                memo = parent._memo = {}
-            if len(memo) < 4 * parent._max_label_sets:
-                memo[raw] = child
-    if dropped:
-        if parent._on_drop is not None:
-            parent._on_drop(parent.name)
-        return parent
-    return child
+    def child(self, label_set: tuple):
+        """The child for the context key *label_set* (``self`` when empty).
+
+        The one resolution path, and it trusts its argument: pass only
+        ``CONTEXT.label_key()`` (already validated and canonical, computed
+        once per push) or, as :meth:`labels` does, the output of
+        :func:`~repro.obs.context.canonical_label_set`.  Lint rule OBS001
+        flags a tuple literal passed here; build explicit label sets with
+        ``labels(**kw)``.  An admitted label set resolves with one dict
+        read and no lock.  Past the cap the family itself is returned and
+        the drop hook fires on every call (outside the family lock, so the
+        registry's overflow counter can be bumped without lock nesting).
+        """
+        if not label_set:
+            return self
+        children = self._children
+        if children is not None:
+            # Read the size first: a family at its cap never gains a
+            # child, so a miss seen after that read is final and needs no
+            # lock.
+            full = len(children) >= self._max_label_sets
+            found = children.get(label_set)
+            if found is not None:
+                return found
+            if not full:
+                found = self._admit(label_set)
+        else:
+            found = self._admit(label_set)
+        if found is not None:
+            return found
+        if self._on_drop is not None:
+            self._on_drop(self.name)
+        return self
+
+    def labels(self, **labels):
+        """The child for this label set (``self`` when unlabeled)."""
+        if not labels:
+            return self
+        return self.child(canonical_label_set(labels))
+
+    def _admit(self, key: tuple):
+        """Get-or-create the child for *key* under the lock; None at the cap."""
+        if self._parent is not None:
+            raise ValueError(
+                f"metric {self.name!r} is already labeled; call labels() on "
+                "the unlabeled family"
+            )
+        with self._lock:
+            children = self._children
+            if children is None:
+                children = self._children = {}
+            found = children.get(key)
+            if found is None and len(children) < self._max_label_sets:
+                found = children[key] = self._new_child(key)
+            return found
 
 
 def _labeled_values(metric) -> dict:
@@ -143,13 +160,12 @@ def _labeled_values(metric) -> dict:
         }
 
 
-class Counter:
+class Counter(_Family):
     """Monotonically increasing named count (family root or labeled child)."""
 
     __slots__ = (
         "name", "value", "label_set",
         "_lock", "_parent", "_children", "_max_label_sets", "_on_drop",
-        "_memo",
     )
 
     def __init__(
@@ -170,7 +186,6 @@ class Counter:
         self._children: dict | None = None
         self._max_label_sets = max_label_sets
         self._on_drop = on_drop
-        self._memo: dict | None = None
 
     def inc(self, amount: int = 1) -> None:
         with self._lock:
@@ -181,25 +196,19 @@ class Counter:
         if FLIGHT.enabled:
             FLIGHT.record_metric(self.name, "counter", amount, self.label_set)
 
-    def labels(self, **labels) -> "Counter":
-        """The child counter for this label set (``self`` when unlabeled)."""
-        return _resolve_child(
-            self,
-            labels,
-            lambda key: Counter(
-                self.name, max_label_sets=0,
-                _lock=self._lock, _parent=self, label_set=key,
-            ),
+    def _new_child(self, key: tuple) -> "Counter":
+        return Counter(
+            self.name, max_label_sets=0,
+            _lock=self._lock, _parent=self, label_set=key,
         )
 
 
-class Gauge:
+class Gauge(_Family):
     """Last-write-wins named value (family root or labeled child)."""
 
     __slots__ = (
         "name", "value", "label_set",
         "_lock", "_parent", "_children", "_max_label_sets", "_on_drop",
-        "_memo",
     )
 
     def __init__(
@@ -220,7 +229,6 @@ class Gauge:
         self._children: dict | None = None
         self._max_label_sets = max_label_sets
         self._on_drop = on_drop
-        self._memo: dict | None = None
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -231,25 +239,20 @@ class Gauge:
         if FLIGHT.enabled:
             FLIGHT.record_metric(self.name, "gauge", value, self.label_set)
 
-    def labels(self, **labels) -> "Gauge":
-        """The child gauge for this label set (``self`` when unlabeled)."""
-        return _resolve_child(
-            self,
-            labels,
-            lambda key: Gauge(
-                self.name, max_label_sets=0,
-                _lock=self._lock, _parent=self, label_set=key,
-            ),
+    def _new_child(self, key: tuple) -> "Gauge":
+        return Gauge(
+            self.name, max_label_sets=0,
+            _lock=self._lock, _parent=self, label_set=key,
         )
 
 
-class Histogram:
+class Histogram(_Family):
     """Fixed-bucket histogram with inclusive upper bounds plus overflow."""
 
     __slots__ = (
         "name", "bounds", "counts", "total", "count", "label_set",
         "_lock", "_parent", "_children", "_max_label_sets", "_on_drop",
-        "_memo", "_exemplars", "_exemplar_seq",
+        "_exemplars", "_exemplar_seq",
     )
 
     def __init__(
@@ -281,7 +284,6 @@ class Histogram:
         self._children: dict | None = None
         self._max_label_sets = max_label_sets
         self._on_drop = on_drop
-        self._memo: dict | None = None
         self._exemplars: dict | None = None
         self._exemplar_seq: dict | None = None
 
@@ -317,7 +319,7 @@ class Histogram:
                 return
         label_set = self.label_set
         if label_set is None:
-            label_set = canonical_label_set(CONTEXT.current())
+            label_set = CONTEXT.label_key()
         root = self._parent if self._parent is not None else self
         with root._lock:
             rings = root._exemplars
@@ -339,15 +341,10 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def labels(self, **labels) -> "Histogram":
-        """The child histogram (same bounds) for this label set."""
-        return _resolve_child(
-            self,
-            labels,
-            lambda key: Histogram(
-                self.name, self.bounds, max_label_sets=0,
-                _lock=self._lock, _parent=self, label_set=key,
-            ),
+    def _new_child(self, key: tuple) -> "Histogram":
+        return Histogram(
+            self.name, self.bounds, max_label_sets=0,
+            _lock=self._lock, _parent=self, label_set=key,
         )
 
     def _bucket_le(self, bucket: int) -> str:
@@ -402,26 +399,30 @@ class MetricsRegistry:  # repro: shared[lock=_lock] registry map mutation holds 
         self.counter(DROPPED_LABEL_SETS).inc()
 
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            metric = self._counters.get(name)
-            if metric is None:
-                metric = self._counters[name] = Counter(
-                    name,
-                    max_label_sets=self.max_label_sets,
-                    on_drop=self._note_dropped,
-                )
-            return metric
+        metric = self._counters.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._counters.get(name)
+                if metric is None:
+                    metric = self._counters[name] = Counter(
+                        name,
+                        max_label_sets=self.max_label_sets,
+                        on_drop=self._note_dropped,
+                    )
+        return metric
 
     def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                metric = self._gauges[name] = Gauge(
-                    name,
-                    max_label_sets=self.max_label_sets,
-                    on_drop=self._note_dropped,
-                )
-            return metric
+        metric = self._gauges.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._gauges.get(name)
+                if metric is None:
+                    metric = self._gauges[name] = Gauge(
+                        name,
+                        max_label_sets=self.max_label_sets,
+                        on_drop=self._note_dropped,
+                    )
+        return metric
 
     def histogram(self, name: str, bounds: tuple | None = None) -> Histogram:
         """Fetch histogram *name*, creating it with *bounds* on first use.
@@ -430,23 +431,28 @@ class MetricsRegistry:  # repro: shared[lock=_lock] registry map mutation holds 
         raises; re-registering with the same (or no) bounds returns the
         existing histogram.
         """
-        with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                if bounds is None:
-                    raise ValueError(f"histogram {name!r} not registered; pass bounds")
-                metric = self._histograms[name] = Histogram(
-                    name,
-                    bounds,
-                    max_label_sets=self.max_label_sets,
-                    on_drop=self._note_dropped,
-                )
-            elif bounds is not None and tuple(bounds) != metric.bounds:
-                raise ValueError(
-                    f"histogram {name!r} already registered with bounds "
-                    f"{metric.bounds!r}, not {tuple(bounds)!r}"
-                )
-            return metric
+        metric = self._histograms.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._histograms.get(name)
+                if metric is None:
+                    if bounds is None:
+                        raise ValueError(
+                            f"histogram {name!r} not registered; pass bounds"
+                        )
+                    metric = self._histograms[name] = Histogram(
+                        name,
+                        bounds,
+                        max_label_sets=self.max_label_sets,
+                        on_drop=self._note_dropped,
+                    )
+                    return metric
+        if bounds is not None and tuple(bounds) != metric.bounds:
+            raise ValueError(
+                f"histogram {name!r} already registered with bounds "
+                f"{metric.bounds!r}, not {tuple(bounds)!r}"
+            )
+        return metric
 
     def snapshot(self) -> dict:
         """Plain-dict view of everything (JSON-serializable).

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from time import perf_counter  # repro: allow[CLK001] wall-clock TTA is an obs measurement
 
 from scipy import stats
@@ -370,6 +371,17 @@ class TTARecord:
         }
 
 
+@lru_cache(maxsize=16)
+def _normal_quantile(confidence: float) -> float:
+    """Two-sided CLT quantile ``z`` for *confidence*, one scipy call each.
+
+    Every monitor of a run shares its config's confidence, so caching the
+    call keeps scipy's distribution machinery out of per-query setup; it is
+    the same call, so it returns the same float.
+    """
+    return float(stats.norm.ppf(0.5 + confidence / 2))
+
+
 class EstimatorMonitor:
     """Running CLT confidence interval + time-to-accuracy for AVG/SUM.
 
@@ -391,7 +403,7 @@ class EstimatorMonitor:
             raise ValueError(f"population must be >= 0, got {population}")
         self.config = config
         self.population = population
-        self._z = float(stats.norm.ppf(0.5 + config.ci_confidence / 2))
+        self._z = _normal_quantile(config.ci_confidence)
         self._count = 0
         self._mean = 0.0
         self._m2 = 0.0

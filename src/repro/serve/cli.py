@@ -20,10 +20,15 @@ import json
 import sys
 from pathlib import Path
 
+from ..obs.quality import QualityConfig
 from .scheduler import ServeConfig, ServeReport, ServeScheduler
 from .workload import WORKLOAD_SHAPES, Workload, WorkloadSpec
 
 __all__ = ["add_serve_parser", "render_serve_report", "run_serve"]
+
+#: The quality monitor's time-to-accuracy targets, the values ``--epsilon``
+#: accepts besides 0.
+_TARGETS_TEXT = ", ".join(f"{t:g}" for t in QualityConfig().tta_targets)
 
 
 def add_serve_parser(sub) -> None:
@@ -70,8 +75,9 @@ def add_serve_parser(sub) -> None:
     )
     serve.add_argument(
         "--epsilon", type=float, default=0.05,
-        help="relative CI half-width at which a query is answered "
-        "(default 0.05; 0 disables and drains streams to exhaustion)",
+        help="relative CI half-width at which a query is answered, one of "
+        f"{_TARGETS_TEXT} (default 0.05; 0 disables and drains streams to "
+        "exhaustion)",
     )
     serve.add_argument(
         "--max-samples", type=int, default=4000,
@@ -192,6 +198,12 @@ def run_serve(args) -> int:
         target_epsilon=args.epsilon if args.epsilon > 0 else None,
         max_samples=args.max_samples,
     )
+    session = QualitySession(metrics=METRICS)
+    if (config.target_epsilon is not None
+            and config.target_epsilon not in session.config.tta_targets):
+        print(f"serve: --epsilon must be 0 or one of {_TARGETS_TEXT}",
+              file=sys.stderr)
+        return 2
 
     METRICS.reset()
     recorder = TraceRecorder(metrics=METRICS)
@@ -208,7 +220,6 @@ def run_serve(args) -> int:
         key_lo=domain.lo,
         key_hi=domain.hi,
     )
-    session = QualitySession(metrics=METRICS)
     workload = Workload(spec, seed=args.seed)
     with recorder:
         scheduler = ServeScheduler(

@@ -77,7 +77,8 @@ class ServeConfig:
     #: Per-tenant page budget; ``None`` disables enforcement.
     page_budget: int | None = None
     #: Relative CI half-width at which a query is "answered"; must be one
-    #: of the monitor's ``tta_targets``.  ``None`` drains to exhaustion.
+    #: of the monitor's ``tta_targets`` (the scheduler raises otherwise).
+    #: ``None`` drains to exhaustion.
     target_epsilon: float | None = 0.05
     #: Per-query sample cap (safety valve for selective queries whose CI
     #: cannot reach the target before the stream drains anyway).
@@ -234,6 +235,15 @@ class ServeScheduler:  # repro: shared[owner=serve.scheduler] the owner itself: 
             session = QualitySession(
                 config=quality_config if quality_config is not None
                 else QualityConfig()
+            )
+        target = self.config.target_epsilon
+        if target is not None and target not in session.config.tta_targets:
+            # The monitor records crossings only at its own targets, so any
+            # other value would be answered (and reported) at the next
+            # smaller one.
+            raise ValueError(
+                f"target_epsilon {target!r} is not one of the quality "
+                f"monitor's tta_targets {session.config.tta_targets!r}"
             )
         self.session = session
         self.collect_records = collect_records

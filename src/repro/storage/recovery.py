@@ -41,7 +41,7 @@ def _count_retry() -> None:
     """One retry tick: profile counter always, labeled metric when tracing."""
     TRACER.count("storage.read_retries")
     if TRACER.enabled:
-        METRICS.counter("storage.read_retries").labels(**CONTEXT.labels()).inc()
+        METRICS.counter("storage.read_retries").child(CONTEXT.label_key()).inc()
 
 __all__ = [
     "DEFAULT_RETRY",

@@ -105,12 +105,12 @@ class SampleCache:  # repro: shared[owner=serve.scheduler] single-writer LRU; sa
         if entry is None:
             self.stats.misses += 1
             if TRACER.enabled:
-                METRICS.counter("sample_cache.misses").labels(**CONTEXT.labels()).inc()
+                METRICS.counter("sample_cache.misses").child(CONTEXT.label_key()).inc()
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
         if TRACER.enabled:
-            METRICS.counter("sample_cache.hits").labels(**CONTEXT.labels()).inc()
+            METRICS.counter("sample_cache.hits").child(CONTEXT.label_key()).inc()
         return entry[0]
 
     def peek(self, key: tuple):
@@ -138,7 +138,7 @@ class SampleCache:  # repro: shared[owner=serve.scheduler] single-writer LRU; sa
             self.stats.bytes_cached -= dropped
             self.stats.evictions += 1
             if TRACER.enabled:
-                METRICS.counter("sample_cache.evictions").labels(**CONTEXT.labels()).inc()
+                METRICS.counter("sample_cache.evictions").child(CONTEXT.label_key()).inc()
         entries[key] = (value, nbytes)
         self.stats.bytes_cached += nbytes
         self.stats.insertions += 1

@@ -9,3 +9,4 @@ def instrument(batch):
     METRICS.histogram("Latency.Sim").observe(0.5)
     METRICS.counter("app.records").labels(user="u1").inc()
     METRICS.counter("app.records").labels(tenant="t0").inc()
+    METRICS.counter("app.records").child((("user", "u1"),)).inc()

@@ -151,7 +151,7 @@ class TestTst001:
 class TestObs001:
     def test_bad_names_and_label_keys_flagged(self):
         findings = lint_file(FIXTURES / "apps" / "bad_metrics.py")
-        assert lines_by_rule(findings) == {"OBS001": [7, 9, 10]}
+        assert lines_by_rule(findings) == {"OBS001": [7, 9, 10, 12]}
 
     def test_messages_name_the_fix(self):
         findings = lint_file(FIXTURES / "apps" / "bad_metrics.py")
@@ -159,6 +159,7 @@ class TestObs001:
         assert "dot-namespaced" in by_line[7]
         assert "dot-namespaced" in by_line[9]
         assert "LABEL_KEYS" in by_line[10]
+        assert "CONTEXT.label_key()" in by_line[12]
 
     def test_dynamic_names_and_splat_labels_exempt(self, tmp_path):
         target = tmp_path / "repro" / "apps"
@@ -169,6 +170,7 @@ class TestObs001:
             "def f(level):\n"
             "    METRICS.counter(f'stab.level.{level}').inc()\n"
             "    METRICS.counter('app.ok').labels(**CONTEXT.labels()).inc()\n"
+            "    METRICS.counter('app.ok').child(CONTEXT.label_key()).inc()\n"
         )
         assert lint_file(path) == []
 

@@ -103,3 +103,66 @@ class TestThreadConfinement:
         # The spawned thread starts from an empty stack, not main's frame.
         assert seen["worker"] == {}
         assert seen["worker_inner"] == {"tenant": "worker-t"}
+
+
+class TestLabelKey:
+    """The per-frame key is the canonical form of the merged baggage."""
+
+    @staticmethod
+    def _agrees(ctx) -> bool:
+        return ctx.label_key() == canonical_label_set(ctx.current())
+
+    def test_empty_context_key_is_empty(self):
+        ctx = TelemetryContext()
+        assert ctx.label_key() == ()
+
+    def test_key_tracks_nested_pushes_and_pops(self):
+        ctx = TelemetryContext()
+        with ctx.push(query="q1"):
+            assert ctx.label_key() == (("query", "q1"),)
+            with ctx.push(sampler="ace", tenant=3):
+                assert ctx.label_key() == (
+                    ("tenant", "3"), ("query", "q1"), ("sampler", "ace"))
+                assert self._agrees(ctx)
+                with ctx.push(query="q2"):  # inner frame overrides outer
+                    assert ctx.label_key() == (
+                        ("tenant", "3"), ("query", "q2"), ("sampler", "ace"))
+                    assert self._agrees(ctx)
+                assert self._agrees(ctx)
+            assert ctx.label_key() == (("query", "q1"),)
+        assert ctx.label_key() == ()
+
+    def test_rejected_push_leaves_the_key(self):
+        ctx = TelemetryContext()
+        with ctx.push(tenant="t0"):
+            with pytest.raises(ValueError):
+                with ctx.push(user="alice"):
+                    pass  # pragma: no cover - push must raise first
+            assert ctx.label_key() == (("tenant", "t0"),)
+
+    def test_clear_resets_the_key(self):
+        ctx = TelemetryContext()
+        with ctx.push(tenant="t0", query="q1"):
+            ctx.clear()
+            assert ctx.label_key() == ()
+            assert self._agrees(ctx)
+
+    def test_fresh_thread_starts_at_the_empty_key(self):
+        seen = {}
+
+        def worker():
+            seen["fresh"] = CONTEXT.label_key()
+            with CONTEXT.push(tenant="worker-t", shard=2):
+                seen["inner"] = CONTEXT.label_key()
+                seen["agrees"] = self._agrees(CONTEXT)
+
+        with CONTEXT.push(tenant="main-t"):
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join()
+            assert CONTEXT.label_key() == (("tenant", "main-t"),)
+        assert seen == {
+            "fresh": (),
+            "inner": (("tenant", "worker-t"), ("shard", "2")),
+            "agrees": True,
+        }

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.obs.context import CONTEXT, canonical_label_set
 from repro.obs.metrics import DROPPED_LABEL_SETS, MetricsRegistry
 
 
@@ -89,6 +91,121 @@ class TestCardinalityCap:
         assert snap["counters"]["query.records"] == 1
 
 
+class TestKeyResolution:
+    """``child(key)`` and ``labels(**kw)`` share one resolution path."""
+
+    def test_child_by_key_is_the_labels_child(self):
+        registry = MetricsRegistry()
+        for family in (registry.counter("query.records"),
+                       registry.gauge("query.depth"),
+                       registry.histogram("query.lat", bounds=(1.0,))):
+            child = family.labels(query="q1", tenant="t0")
+            key = canonical_label_set({"tenant": "t0", "query": "q1"})
+            assert family.child(key) is child
+            assert child.label_set == key
+            with CONTEXT.push(tenant="t0", query="q1"):
+                assert family.child(CONTEXT.label_key()) is child
+
+    def test_empty_key_is_the_family(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("query.records")
+        assert counter.child(()) is counter
+        assert counter.child(CONTEXT.label_key()) is counter
+
+    def test_child_of_a_child_is_an_error(self):
+        registry = MetricsRegistry()
+        child = registry.counter("query.records").labels(tenant="t0")
+        with pytest.raises(ValueError, match="already labeled"):
+            child.labels(tenant="t1")
+        with CONTEXT.push(tenant="t1"), pytest.raises(
+                ValueError, match="already labeled"):
+            child.child(CONTEXT.label_key())
+        assert child.child(()) is child
+
+    @pytest.mark.parametrize("path", ["labels", "context"])
+    def test_over_cap_set_drops_on_every_call(self, path):
+        registry = MetricsRegistry(max_label_sets=1)
+        counter = registry.counter("query.records")
+        counter.labels(tenant="t0").inc()
+
+        def resolve():
+            if path == "labels":
+                return counter.labels(tenant="t1")
+            with CONTEXT.push(tenant="t1"):
+                return counter.child(CONTEXT.label_key())
+
+        for _ in range(3):
+            assert resolve() is counter  # the family, on every call
+        snap = registry.snapshot()
+        assert snap["counters"][DROPPED_LABEL_SETS] == 3
+        assert snap["labeled"]["counters"]["query.records"] == {"tenant=t0": 1}
+        # The admitted child keeps resolving without a drop.
+        assert counter.labels(tenant="t0").label_set == (("tenant", "t0"),)
+        assert registry.snapshot()["counters"][DROPPED_LABEL_SETS] == 3
+
+    def test_over_cap_sets_leave_the_family_bounded(self):
+        """10,000 distinct over-cap sets: every call returns the family
+        and counts one drop, and the family keeps only its admitted
+        children."""
+        registry = MetricsRegistry(max_label_sets=4)
+        counter = registry.counter("query.records")
+        for i in range(4):
+            counter.labels(query=f"q{i}")
+        for i in range(10_000):
+            with CONTEXT.push(query=f"over{i}"):
+                assert counter.child(CONTEXT.label_key()) is counter
+        assert registry.snapshot()["counters"][DROPPED_LABEL_SETS] == 10_000
+        assert len(counter._children) == 4
+
+    def test_full_family_miss_takes_no_lock(self):
+        registry = MetricsRegistry(max_label_sets=1)
+        counter = registry.counter("query.records")
+        admitted = counter.labels(tenant="t0")
+
+        class NoLock:
+            def __enter__(self):
+                raise AssertionError("a full family's miss took the lock")
+
+            def __exit__(self, *exc):
+                return False
+
+        lock, counter._lock = counter._lock, NoLock()
+        assert counter.labels(tenant="t1") is counter
+        with CONTEXT.push(tenant="t2"):
+            assert counter.child(CONTEXT.label_key()) is counter
+        assert counter.labels(tenant="t0") is admitted
+        counter._lock = lock
+        assert registry.snapshot()["counters"][DROPPED_LABEL_SETS] == 2
+
+    def test_reset_leaves_no_orphaned_family(self):
+        registry = MetricsRegistry(max_label_sets=1)
+        before = registry.counter("query.records")
+        before.labels(tenant="t0").inc()
+        before.labels(tenant="t1").inc()  # over the cap
+        old_hist = registry.histogram("query.lat", bounds=(1.0,))
+        registry.reset()
+        assert registry.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {}}
+
+        after = registry.counter("query.records")
+        assert after is not before
+        with CONTEXT.push(tenant="t1"):
+            child = after.child(CONTEXT.label_key())
+        assert child is not after  # a fresh family admits t1 again
+        assert child._parent is after
+        child.inc()
+        after.labels(tenant="t2").inc()  # over the new family's cap
+        new_hist = registry.histogram("query.lat", bounds=(2.0,))
+        assert new_hist is not old_hist
+        snap = registry.snapshot()
+        assert snap["counters"] == {
+            DROPPED_LABEL_SETS: 1, "query.records": 2}
+        assert snap["labeled"]["counters"] == {
+            "query.records": {"tenant=t1": 1}}
+        assert registry.counter("query.records") is after
+        assert before.value == 2  # the orphan saw nothing after reset
+
+
 class TestLabeledThreadSafety:
     def test_concurrent_labeled_incs_are_exact(self):
         registry = MetricsRegistry()
@@ -122,6 +239,34 @@ class TestLabeledThreadSafety:
         assert len(by_tenant) == 8
         for child in children:
             assert by_tenant[child.label_set] is child
+
+    def test_concurrent_over_cap_resolution_is_exact(self):
+        """Admitted and over-cap keys resolved lock-free from many threads:
+        every update lands in a child or counts as a drop, exactly once."""
+        registry = MetricsRegistry(max_label_sets=2)
+        counter = registry.counter("query.records")
+        workers, updates = 8, 600
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work(i):
+                for j in range(updates):
+                    with CONTEXT.push(query=f"q{(i + j) % 12}"):
+                        counter.child(CONTEXT.label_key()).inc()
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(work, i) for i in range(workers)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        total = workers * updates
+        assert counter.value == total
+        assert len(counter._children) == 2
+        labeled = sum(child.value for child in counter._children.values())
+        dropped = registry.snapshot()["counters"][DROPPED_LABEL_SETS]
+        assert labeled + dropped == total
 
     def test_concurrent_histogram_observes_count_exactly(self):
         registry = MetricsRegistry()

@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from types import SimpleNamespace
 
 import pytest
 from scipy import stats
 
 from repro.core.intervals import Box, Interval
 from repro.obs import MetricsRegistry, QualityConfig, QualitySession
+from repro.obs import quality
 from repro.obs.export import validate_span_dict
 from repro.obs.quality import EstimatorMonitor, UniformityMonitor
 
@@ -220,6 +222,37 @@ class TestEstimatorMonitor:
         clocks = [point[0] for point in monitor.timeline]
         assert clocks == sorted(clocks)
         assert clocks[0] == 1.0  # decimation keeps the earliest point
+
+
+class TestEstimatorQuantile:
+    """The CLT quantile is one scipy call per confidence, not per monitor."""
+
+    def test_one_ppf_call_across_many_monitors(self, monkeypatch):
+        calls = []
+
+        def ppf(q):
+            calls.append(q)
+            return stats.norm.ppf(q)
+
+        monkeypatch.setattr(quality, "stats",
+                            SimpleNamespace(norm=SimpleNamespace(ppf=ppf)))
+        quality._normal_quantile.cache_clear()
+        try:
+            config = QualityConfig(ci_confidence=0.9)
+            session = QualitySession(config=config, metrics=MetricsRegistry())
+            for i in range(40):
+                session.monitor(f"q{i}", key_of=lambda r: r[0], lo=0.0,
+                                hi=1.0, population=1000 + i)
+            monitors = [EstimatorMonitor(config) for _ in range(40)]
+        finally:
+            quality._normal_quantile.cache_clear()
+        assert calls == [0.5 + 0.9 / 2]
+        assert len({m._z for m in monitors}) == 1
+
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
+    def test_z_equals_the_per_call_formula(self, confidence):
+        monitor = EstimatorMonitor(QualityConfig(ci_confidence=confidence))
+        assert monitor._z == float(stats.norm.ppf(0.5 + confidence / 2))
 
 
 class TestQualitySession:

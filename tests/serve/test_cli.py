@@ -49,3 +49,10 @@ class TestServeCli:
         out = tmp_path / "bad.jsonl"
         assert main(["serve", flag, value, "--out", str(out)]) == 2
         assert "must be positive" in capsys.readouterr().err
+
+    def test_epsilon_outside_the_monitor_targets_exits_two(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "bad.jsonl"
+        assert main(["serve", "--epsilon", "0.03", "--out", str(out)]) == 2
+        assert "--epsilon must be 0 or one of" in capsys.readouterr().err
+        assert not out.exists()

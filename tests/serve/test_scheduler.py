@@ -3,6 +3,7 @@
 import pytest
 
 from repro.acetree import AceBuildParams, build_ace_tree
+from repro.obs.quality import QualityConfig, QualitySession
 from repro.serve.scheduler import (
     ServeConfig,
     ServeScheduler,
@@ -166,6 +167,31 @@ class TestCompletionReasons:
         for stats in report.tenants.values():
             assert len(stats["tta"]) == stats["target_hits"]
             assert all(v >= 0 for v in stats["tta"])
+
+
+class TestTargetValidation:
+    """``target_epsilon`` must be a TTA target the monitors record."""
+
+    def test_target_outside_the_monitor_targets_is_rejected(self):
+        tree = _tree()
+        with pytest.raises(ValueError, match="tta_targets"):
+            ServeScheduler(tree, _workload(tree),
+                           ServeConfig(target_epsilon=0.03))
+
+    def test_target_checked_against_the_session_config(self):
+        tree = _tree()
+        session = QualitySession(config=QualityConfig(tta_targets=(0.1,)))
+        with pytest.raises(ValueError, match="tta_targets"):
+            ServeScheduler(tree, _workload(tree),
+                           ServeConfig(target_epsilon=0.05), session=session)
+        ServeScheduler(tree, _workload(tree),
+                       ServeConfig(target_epsilon=0.1), session=session)
+
+    @pytest.mark.parametrize("target", [None, 0.2, 0.1, 0.05, 0.02, 0.01])
+    def test_none_and_every_monitor_target_are_accepted(self, target):
+        tree = _tree()
+        ServeScheduler(tree, _workload(tree),
+                       ServeConfig(target_epsilon=target))
 
 
 class TestPercentile:
