@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from ..core.stats import normal_quantile
+
 __all__ = [
     "expected_section_size",
     "lemma1_lower_bound",
@@ -70,7 +72,8 @@ def fixed_leaf_utilization(
     (leaf, section) cell gets its own fixed slot (Binomial(n, 1/(hL)),
     far smaller mean, hence far worse relative spread).  Slots are sized
     at the union-bound quantile of the binomial, normal-approximated; the
-    returned utilization is ``mean / slot``.
+    returned utilization is ``mean / slot`` (a ``ValueError`` for one cell
+    at ``overflow_probability >= 0.5``, which has no slot above its mean).
 
     The paper estimates "less than 15%" utilization for its configuration;
     the exact figure depends on which scheme and parameters are assumed,
@@ -92,41 +95,11 @@ def fixed_leaf_utilization(
     mean = num_records * probability
     # Normal approximation of Binomial(n, 1/cells).
     sigma = math.sqrt(num_records * probability * (1 - probability))
-    # Union bound: each cell may overflow with probability p / cells.
-    z = _normal_upper_quantile(1 - overflow_probability / cells)
+    # Union bound: each cell may overflow with probability p / cells, the
+    # upper tail of the two-sided quantile at confidence 1 - 2p/cells.
+    z = normal_quantile(1 - 2 * overflow_probability / cells)
     slot = mean + z * sigma
     return mean / slot
-
-
-def _normal_upper_quantile(p: float) -> float:
-    """Inverse standard-normal CDF (Acklam's rational approximation)."""
-    if not 0 < p < 1:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    # Coefficients for the central and tail regions.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-        )
-    if p <= 1 - p_low:
-        q = p - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1
-        )
-    q = math.sqrt(-2 * math.log(1 - p))
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-        (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1
-    )
 
 
 def lemma1_applicability_limit(selectivity: float, num_leaves: int) -> int:

@@ -26,13 +26,13 @@ with the bench CLI's ``--sanitize`` flag or call them from tests.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..core.errors import InvariantViolation
 from ..core.profile import PROFILE
+from ..core.stats import chi2_sf
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..acetree.query import SampleStream
@@ -316,7 +316,7 @@ def check_sample(
     p_value = 1.0
     if len(bins) >= 2:
         chi2 = sum((obs - exp) ** 2 / exp for exp, obs in bins)
-        p_value = _chi2_sf(chi2, len(bins) - 1)
+        p_value = chi2_sf(chi2, len(bins) - 1)
         if p_value < alpha:
             _fail(
                 f"sample prefix rejects uniformity: chi2={chi2:.2f} over "
@@ -592,23 +592,3 @@ class SanitizedDict(dict):
     def update(self, *args, **kwargs):
         self._sanitizer.note_write(self._structure, "update")
         super().update(*args, **kwargs)
-
-
-def _chi2_sf(x: float, df: int) -> float:
-    """Chi-square survival function, with a scipy-free fallback.
-
-    scipy is a declared dependency, but the checker stays usable in
-    minimal environments via the Wilson-Hilferty normal approximation
-    (accurate to ~1e-3 for the p-range that matters here).
-    """
-    try:
-        from scipy.stats import chi2 as _chi2  # noqa: PLC0415
-
-        return float(_chi2.sf(x, df))
-    except ImportError:  # pragma: no cover - scipy is normally present
-        if x <= 0:
-            return 1.0
-        z = ((x / df) ** (1.0 / 3.0) - (1.0 - 2.0 / (9.0 * df))) / math.sqrt(
-            2.0 / (9.0 * df)
-        )
-        return 0.5 * math.erfc(z / math.sqrt(2.0))

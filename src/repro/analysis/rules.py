@@ -6,6 +6,8 @@ depends on (see ``docs/ANALYSIS.md`` for the full catalogue and rationale):
 =======  ==================================================================
 RNG001   all randomness flows through ``core/rng.py`` (``derive`` /
          ``derive_random`` / ``make_rng``); no direct RNG construction.
+STA001   only ``core/stats.py`` imports ``scipy.stats`` or
+         ``scipy.special``; p-values, quantiles and intervals come from it.
 CLK001   no wall-clock / real-I/O access outside the sanctioned modules
          (``storage/disk.py`` owns the simulated clock, ``core/profile.py``
          is the wall-clock profiling layer).
@@ -87,6 +89,36 @@ def check_rng(ctx: LintContext) -> Iterator[Finding]:
                 node,
                 f"direct call to {name}(); derive the stream via "
                 "repro.core.rng.derive()/derive_random() instead",
+            )
+
+
+# ---------------------------------------------------------------------------
+# STA001 — one statistics module
+# ---------------------------------------------------------------------------
+
+#: ``scipy.stats`` costs about a second of start-up; only ``core/stats.py``
+#: imports it or ``scipy.special``, whose ufuncs the library calls.
+_STA_BANNED = ("scipy.stats", "scipy.special")
+
+
+@register("STA001", "scipy statistics imported outside core/stats.py")
+def check_stats_imports(ctx: LintContext) -> Iterator[Finding]:
+    if ctx.module in (None, "core.stats"):
+        return
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = resolve_import_base(node, ctx.module)
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        hit = next((m for m in _STA_BANNED for n in names
+                    if n == m or n.startswith(m + ".")), None)
+        if hit is not None:
+            yield ctx.finding(
+                "STA001", node, f"{hit} used outside core/stats.py; take "
+                "p-values, quantiles and intervals from repro.core.stats",
             )
 
 

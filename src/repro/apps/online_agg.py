@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from scipy import stats
-
 from ..core.errors import EstimatorError
 from ..core.records import Record
+from ..core.stats import CLTEstimator
 from ..obs.context import CONTEXT
 from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
@@ -33,8 +32,9 @@ from ..obs.tracer import TRACER
 __all__ = ["OnlineAggregator", "ProgressPoint", "aggregate_stream"]
 
 
-class OnlineAggregator:
-    """Running AVG/SUM estimate with CLT confidence bounds.
+class OnlineAggregator(CLTEstimator):
+    """Running AVG/SUM estimate with CLT confidence bounds: the shared
+    :class:`~repro.core.stats.CLTEstimator`, raising before any sample.
 
     Args:
         value_of: extracts the aggregated numeric value from a record.
@@ -55,25 +55,15 @@ class OnlineAggregator:
             raise EstimatorError(f"population must be >= 0, got {population}")
         if not 0 < confidence < 1:
             raise EstimatorError(f"confidence must be in (0, 1), got {confidence}")
+        super().__init__(confidence, population)
         self._value_of = value_of
-        self.population = population
         self._confidence = confidence
-        self._z = stats.norm.ppf(0.5 + confidence / 2)
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0  # Welford's sum of squared deviations
 
     # -- updates -----------------------------------------------------------
 
     def update(self, records: Iterable[Record]) -> None:
         """Fold new sample records into the running estimate."""
-        value_of = self._value_of
-        for record in records:
-            value = value_of(record)
-            self._count += 1
-            delta = value - self._mean
-            self._mean += delta / self._count
-            self._m2 += delta * (value - self._mean)
+        self.fold(map(self._value_of, records))
 
     # -- estimates ----------------------------------------------------------
 
@@ -82,9 +72,7 @@ class OnlineAggregator:
         """The two-sided confidence level (read-only)."""
         return self._confidence
 
-    @property
-    def sample_size(self) -> int:
-        return self._count
+    sample_size = CLTEstimator.count
 
     @property
     def mean(self) -> float:
@@ -92,13 +80,6 @@ class OnlineAggregator:
         if self._count == 0:
             raise EstimatorError("no samples yet")
         return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance of the values."""
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
 
     @property
     def total(self) -> float:
@@ -119,14 +100,7 @@ class OnlineAggregator:
         """Half-width of the AVG confidence interval (CLT + FPC)."""
         if self._count == 0:
             raise EstimatorError("no samples yet")
-        if self._count < 2:
-            return math.inf
-        fpc = 1.0
-        if self.population > 1 and self._count < self.population:
-            fpc = (self.population - self._count) / (self.population - 1)
-        elif self._count >= self.population > 0:
-            fpc = 0.0
-        return self._z * math.sqrt(self.variance / self._count * fpc)
+        return CLTEstimator.half_width(self)  # not super(): ~0.2 us per batch
 
     def relative_half_width(self) -> float:
         """Half-width relative to the current estimate (inf if mean ~ 0)."""

@@ -32,10 +32,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from scipy import stats
-
 from ..core.errors import EstimatorError
 from ..core.records import Record
+from ..core.stats import normal_quantile
 
 __all__ = ["RippleJoin", "JoinProgressPoint", "ripple_join_streams"]
 
@@ -86,7 +85,7 @@ class RippleJoin:
         self._s_key = s_key
         self._predicate = predicate
         self._confidence = confidence
-        self._z = stats.norm.ppf(0.5 + confidence / 2)
+        self._z = normal_quantile(confidence)
         self.groups = groups
 
         self._r_samples: list[Record] = []

@@ -496,7 +496,7 @@ def _run_sanitize(seed: int) -> int:
 
 
 def _export_trace(recorder, out: Path, top: int = 12, quality=None) -> int:
-    """Write JSONL + Chrome files for a finished recorder, validate, report."""
+    """Write a finished recorder and its ``quality`` records; validate, report."""
     from ..obs import (
         COST,
         cost_record,
@@ -507,16 +507,15 @@ def _export_trace(recorder, out: Path, top: int = 12, quality=None) -> int:
         validate_jsonl,
     )
 
-    records = quality.records() if quality is not None else None
     chrome = out.with_suffix(".chrome.json")
     snapshot = recorder.metrics.snapshot() if recorder.metrics is not None else None
     # The accountant was disarmed (not reset) at recorder uninstall, so
     # its ledger still holds this run's attribution + conservation check.
     cost = COST.snapshot()
     extra = exemplar_records(snapshot) + [cost_record(cost)]
-    lines = export_jsonl(recorder.spans, out, quality=records,
+    lines = export_jsonl(recorder.spans, out, quality=quality,
                          metrics=snapshot, extra=extra)
-    events = export_chrome_trace(recorder.spans, chrome, quality=records)
+    events = export_chrome_trace(recorder.spans, chrome, quality=quality)
     errors = validate_jsonl(out)
     if errors:
         for error in errors:
@@ -526,7 +525,7 @@ def _export_trace(recorder, out: Path, top: int = 12, quality=None) -> int:
           f"{events} events -> {chrome}")
     print()
     print(render_report(recorder.spans, recorder.metrics, top=top,
-                        quality=records, cost=cost))
+                        quality=quality, cost=cost))
     return 0
 
 
@@ -819,8 +818,7 @@ def _run_trace(args) -> int:
                                quality=quality)
         finally:
             clear_context_cache()
-        quality.finalize()
-        return _export_trace(recorder, args.out, top=args.top, quality=quality)
+        return _export_trace(recorder, args.out, top=args.top, quality=quality.records())
 
     if args.operation == "build":
         METRICS.reset()
@@ -834,7 +832,7 @@ def _run_trace(args) -> int:
 
     recorder, quality = _traced_query_workload(args.seed,
                                                sabotage=args.sabotage)
-    return _export_trace(recorder, args.out, top=args.top, quality=quality)
+    return _export_trace(recorder, args.out, top=args.top, quality=quality.records())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -919,9 +917,7 @@ def main(argv: list[str] | None = None) -> int:
         if recorder is not None:
             recorder.uninstall()
     if recorder is not None:
-        if quality is not None:
-            quality.finalize()
-        return _export_trace(recorder, args.trace, quality=quality)
+        return _export_trace(recorder, args.trace, quality=quality.records())
     return 0
 
 

@@ -44,11 +44,12 @@ the modeled hardware would charge).  This package provides that view:
   conservation check against the simulated disks' own totals.
 
 Layering: ``obs`` sits beside ``core`` at the bottom of the package graph
-(lint rule LAY001) and imports nothing from the rest of the library — every
-layer reports into it, so it must not depend on any of them.  The simulated
-clock is only ever *read* (``disk.clock`` / ``disk.stats`` deltas at span
-boundaries), never charged: a traced run is bit-identical to an untraced
-one on the simulated clock, and golden figure outputs do not move.
+(lint rule LAY001); its one import from the library is the leaf
+:mod:`repro.core.stats`.  Every layer reports into it, so it must not depend
+on any of them.  The simulated clock is only ever *read* (``disk.clock`` /
+``disk.stats`` deltas at span boundaries), never charged: a traced run is
+bit-identical to an untraced one on the simulated clock, and golden figure
+outputs do not move.
 
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and how to read traces.
 """

@@ -14,11 +14,10 @@ time bought**:
 * :class:`CoverageMonitor` — per-stratum arrival counts over the predicate
   range (equal-width strata by default; callers may bin however they like).
 * :class:`EstimatorMonitor` — CLT running confidence intervals for the
-  SUM/AVG estimators (the same math as
-  ``repro.apps.online_agg.OnlineAggregator``, re-derived here because
-  ``obs`` sits below ``apps`` in the layer graph) with **time-to-accuracy**:
-  the simulated-clock and wall-clock time until the relative CI half-width
-  first drops to each configured target ε.
+  SUM/AVG estimators (the :class:`~repro.core.stats.CLTEstimator` that
+  ``repro.apps.online_agg.OnlineAggregator`` also uses) with
+  **time-to-accuracy**: the simulated-clock and wall-clock time until the
+  relative CI half-width first drops to each configured target ε.
 * :class:`StreamQualityMonitor` — one monitored query: wraps a sampler's
   batch iterator (any :class:`repro.baselines.base.Sampler` stream, or an
   ACE :class:`~repro.acetree.query.SampleStream`) and drives the three
@@ -35,20 +34,18 @@ first-class metrics (``quality.*`` counters/gauges/histograms) into a
 :class:`~repro.obs.metrics.MetricsRegistry` so ``bench --json`` and the
 text report can surface them.
 
-Layering: this module is part of ``obs`` (rank 0 in lint rule LAY001) and
-imports nothing from the rest of the library — key extraction, predicate
-ranges, and population counts are passed in by the caller.
+Layering: this module is part of ``obs`` (rank 0 in lint rule LAY001); its one
+import from the library is the leaf :mod:`repro.core.stats`.  Key extraction,
+predicate ranges, and population counts are passed in by the caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from time import perf_counter  # repro: allow[CLK001] wall-clock TTA is an obs measurement
 
-from scipy import stats
-
+from ..core.stats import CLTEstimator, chi2_sf, kolmogorov_sf
 from .context import CONTEXT
 from .flight import FLIGHT
 from .metrics import METRICS, MetricsRegistry
@@ -109,6 +106,10 @@ class QualityConfig:
             raise ValueError("tta_targets must be strictly decreasing")
         if self.tta_min_n < 2:
             raise ValueError(f"tta_min_n must be >= 2, got {self.tta_min_n}")
+        if not 0 < self.ci_confidence < 1:
+            raise ValueError(
+                f"ci_confidence must be in (0, 1), got {self.ci_confidence}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,15 +203,19 @@ class UniformityMonitor:
         if self._window_n >= self.config.window:
             self._close_window(clock)
 
-    def _close_window(self, end_sim: float) -> None:
-        n = self._window_n
+    def _chi2(self, counts: list[int], n: int) -> tuple[float, float]:
+        """(statistic, p-value) of ``n`` samples binned as ``counts``."""
         chi2 = 0.0
-        for observed, p in zip(self._window_counts, self.expected):
+        for observed, p in zip(counts, self.expected):
             expected = n * p
             if expected > 0:
                 delta = observed - expected
                 chi2 += delta * delta / expected
-        p_value = float(stats.chi2.sf(chi2, self.config.bins - 1))
+        return chi2, chi2_sf(chi2, self.config.bins - 1)
+
+    def _close_window(self, end_sim: float) -> None:
+        n = self._window_n
+        chi2, p_value = self._chi2(self._window_counts, n)
         self.windows.append(
             WindowVerdict(
                 index=len(self.windows),
@@ -245,16 +250,9 @@ class UniformityMonitor:
 
     def overall_chi2(self) -> tuple[float, float]:
         """(statistic, p-value) over the entire prefix."""
-        n = self.samples
-        chi2 = 0.0
-        for observed, p in zip(self._total_counts, self.expected):
-            expected = n * p
-            if expected > 0:
-                delta = observed - expected
-                chi2 += delta * delta / expected
-        if n == 0:
+        if self.samples == 0:
             return 0.0, 1.0
-        return chi2, float(stats.chi2.sf(chi2, self.config.bins - 1))
+        return self._chi2(self._total_counts, self.samples)
 
     def ks_statistic(self) -> tuple[float, float]:
         """Binned one-sample KS ``(D, p)`` of the prefix vs ``expected``."""
@@ -268,7 +266,7 @@ class UniformityMonitor:
             ecdf += observed / n
             cdf += p
             d = max(d, abs(ecdf - cdf))
-        p_value = float(stats.kstwobign.sf(d * math.sqrt(n)))
+        p_value = kolmogorov_sf(d * math.sqrt(n))
         return d, p_value
 
     @property
@@ -371,25 +369,13 @@ class TTARecord:
         }
 
 
-@lru_cache(maxsize=16)
-def _normal_quantile(confidence: float) -> float:
-    """Two-sided CLT quantile ``z`` for *confidence*, one scipy call each.
-
-    Every monitor of a run shares its config's confidence, so caching the
-    call keeps scipy's distribution machinery out of per-query setup; it is
-    the same call, so it returns the same float.
-    """
-    return float(stats.norm.ppf(0.5 + confidence / 2))
-
-
-class EstimatorMonitor:
+class EstimatorMonitor(CLTEstimator):
     """Running CLT confidence interval + time-to-accuracy for AVG/SUM.
 
-    Welford's update keeps the running mean and variance; the half-width is
-    ``z * sqrt(var/n * fpc)`` with the finite-population correction
-    ``(N - n)/(N - 1)`` when a population size is known — the same
-    estimator ``repro.apps.online_agg`` exposes to users, re-derived here
-    because ``obs`` must not import ``apps``.  After every batch the
+    The running moments and the half-width ``z * sqrt(var/n * fpc)`` are
+    the :class:`~repro.core.stats.CLTEstimator` that
+    ``repro.apps.online_agg`` exposes to users; ``population=None``
+    disables the finite-population correction.  After every batch the
     monitor checks the *relative* half-width against each remaining target
     ε (largest first) and records the crossing on both clocks.
     """
@@ -401,12 +387,8 @@ class EstimatorMonitor:
     ) -> None:
         if population is not None and population < 0:
             raise ValueError(f"population must be >= 0, got {population}")
+        super().__init__(config.ci_confidence, population)
         self.config = config
-        self.population = population
-        self._z = _normal_quantile(config.ci_confidence)
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
         self._pending = list(config.tta_targets)
         self.tta: list[TTARecord] = []
         #: (sim clock, n, mean, half-width) per batch, stride-decimated.
@@ -415,12 +397,6 @@ class EstimatorMonitor:
         self._timeline_skip = 0
 
     # -- updates -------------------------------------------------------
-
-    def add(self, value: float) -> None:
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
 
     def batch_end(self, clock: float, sim_elapsed: float, wall_elapsed: float) -> None:
         """Evaluate the CI once per consumed batch (never per record)."""
@@ -460,33 +436,7 @@ class EstimatorMonitor:
             self.timeline = self.timeline[::2]
             self._timeline_stride *= 2
 
-    # -- estimates -----------------------------------------------------
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    def half_width(self) -> float:
-        if self._count < 2:
-            return math.inf
-        fpc = 1.0
-        population = self.population
-        if population is not None:
-            if population > 1 and self._count < population:
-                fpc = (population - self._count) / (population - 1)
-            elif self._count >= population > 0:
-                fpc = 0.0
-        return self._z * math.sqrt(self.variance / self._count * fpc)
+    # -- export --------------------------------------------------------
 
     def summary(self) -> dict:
         return {
@@ -596,13 +546,12 @@ class StreamQualityMonitor:
             self.finalize()
 
     def observe_batch(self, records, clock: float) -> None:
-        """Fold one emitted batch into every monitor."""
+        """Fold one emitted batch (a sequence of records) into every monitor."""
         if self.start_sim is None:
             self.start_sim = clock
         if self._start_wall is None:
             self._start_wall = perf_counter()
         key_of = self._key_of
-        value_of = self._value_of
         uniformity = self.uniformity
         coverage = self.coverage
         estimator = self.estimator
@@ -610,7 +559,7 @@ class StreamQualityMonitor:
             key = key_of(record)
             uniformity.observe(key, clock)
             coverage.observe(key)
-            estimator.add(value_of(record))
+        estimator.fold(map(self._value_of, records))
         self.batches += 1
         self.end_sim = clock
         estimator.batch_end(

@@ -236,7 +236,7 @@ def run_serve(args) -> int:
     report_path.write_text(
         json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     )
-    status = _export_trace(recorder, args.out, top=args.top, quality=session)
+    status = _export_trace(recorder, args.out, top=args.top, quality=quality_records)
     print()
     print(render_serve_report(report, top=args.top))
     print(f"\nserve: report JSON -> {report_path}")

@@ -34,7 +34,7 @@ class TestRegistry:
     def test_all_project_rules_registered(self):
         assert {
             "RNG001", "CLK001", "FLT001", "LAY001", "MUT001", "EXC001",
-            "TST001", "HOT001", "OBS001", "OBS002",
+            "TST001", "HOT001", "OBS001", "OBS002", "STA001",
         } <= set(RULES)
 
     def test_duplicate_registration_rejected(self):
@@ -70,6 +70,32 @@ class TestRng001:
         target.mkdir(parents=True)
         path = target / "rng.py"
         path.write_text("import random\nr = random.Random(0)\n")
+        assert lint_file(path) == []
+
+
+class TestSta001:
+    def test_every_import_site_flagged(self):
+        # Line 3 (bare ``import scipy``) is fine; line 8 is suppressed.
+        findings = lint_file(FIXTURES / "apps" / "bad_stats.py")
+        assert lines_by_rule(findings) == {"STA001": [4, 5, 6, 7]}
+
+    def test_message_points_at_core_stats(self):
+        findings = lint_file(FIXTURES / "apps" / "bad_stats.py")
+        by_line = {f.line: f.message for f in findings}
+        assert by_line[4].startswith("scipy.stats used")
+        assert by_line[5].startswith("scipy.special used")
+        assert all("repro.core.stats" in m for m in by_line.values())
+
+    def test_sanctioned_module_exempt(self, tmp_path):
+        target = tmp_path / "repro" / "core"
+        target.mkdir(parents=True)
+        path = target / "stats.py"
+        path.write_text("from scipy.special import chdtrc, ndtri\n")
+        assert lint_file(path) == []
+
+    def test_tests_keep_scipy_stats_as_the_reference(self, tmp_path):
+        path = tmp_path / "test_reference.py"
+        path.write_text("from scipy import stats\nz = stats.norm.ppf(0.975)\n")
         assert lint_file(path) == []
 
 
@@ -325,7 +351,7 @@ class TestOutput:
         rules_seen = {f.rule for f in findings}
         assert {
             "RNG001", "CLK001", "FLT001", "LAY001", "MUT001", "EXC001",
-            "TST001", "HOT001", "OBS001", "OBS002",
+            "TST001", "HOT001", "OBS001", "OBS002", "STA001",
         } == rules_seen
 
 

@@ -1,13 +1,12 @@
 """Tests for the online-aggregation estimators."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-import repro.apps.online_agg as online_agg
+import repro.core.stats as core_stats
 from repro.acetree import AceBuildParams, build_ace_tree
 from repro.apps import OnlineAggregator, ProgressPoint, aggregate_stream
 from repro.baselines.base import Batch
@@ -215,13 +214,13 @@ class TestCachedQuantile:
 
     def test_quantile_evaluated_once_per_aggregator(self, monkeypatch):
         calls = []
+        quantile = core_stats.normal_quantile
 
-        def ppf(q):
-            calls.append(q)
-            return stats.norm.ppf(q)
+        def counting(confidence):
+            calls.append(confidence)
+            return quantile(confidence)
 
-        monkeypatch.setattr(online_agg, "stats",
-                            SimpleNamespace(norm=SimpleNamespace(ppf=ppf)))
+        monkeypatch.setattr(core_stats, "normal_quantile", counting)
         rng = np.random.default_rng(5)
         values = list(rng.normal(50, 5, size=600))
         batches = (
@@ -232,7 +231,7 @@ class TestCachedQuantile:
         points = list(aggregate_stream(batches, lambda r: r[1],
                                        population=10**6, confidence=0.9))
         assert len(points) == 60
-        assert calls == [0.5 + 0.9 / 2]
+        assert calls == [0.9]
 
     @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
     def test_intervals_equal_per_call_formula(self, confidence):

@@ -2,7 +2,6 @@
 
 import math
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,13 +159,13 @@ class TestStatistics:
 class TestCachedQuantile:
     def test_quantile_evaluated_once_per_join(self, monkeypatch):
         calls = []
+        quantile = ripple.normal_quantile
 
-        def ppf(q):
-            calls.append(q)
-            return stats.norm.ppf(q)
+        def counting(confidence):
+            calls.append(confidence)
+            return quantile(confidence)
 
-        monkeypatch.setattr(ripple, "stats",
-                            SimpleNamespace(norm=SimpleNamespace(ppf=ppf)))
+        monkeypatch.setattr(ripple, "normal_quantile", counting)
         table_r, table_s = make_tables(seed=8)
         join = make_join(table_r, table_s, confidence=0.9)
         for r_batch, s_batch in zip(batches_of(table_r, 20, 1),
@@ -174,7 +173,7 @@ class TestCachedQuantile:
             join.add_r(r_batch.records)
             join.add_s(s_batch.records)
             join.sum_interval()
-        assert calls == [0.5 + 0.9 / 2]
+        assert calls == [0.9]
 
     @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99])
     def test_interval_equals_per_call_formula(self, confidence):

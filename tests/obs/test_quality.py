@@ -5,14 +5,13 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from types import SimpleNamespace
 
 import pytest
 from scipy import stats
 
+import repro.core.stats as core_stats
 from repro.core.intervals import Box, Interval
 from repro.obs import MetricsRegistry, QualityConfig, QualitySession
-from repro.obs import quality
 from repro.obs.export import validate_span_dict
 from repro.obs.quality import EstimatorMonitor, UniformityMonitor
 
@@ -225,18 +224,18 @@ class TestEstimatorMonitor:
 
 
 class TestEstimatorQuantile:
-    """The CLT quantile is one scipy call per confidence, not per monitor."""
+    """The CLT quantile is one evaluation per confidence, not per monitor."""
 
     def test_one_ppf_call_across_many_monitors(self, monkeypatch):
         calls = []
+        ndtri = core_stats.ndtri
 
-        def ppf(q):
+        def counting(q):
             calls.append(q)
-            return stats.norm.ppf(q)
+            return ndtri(q)
 
-        monkeypatch.setattr(quality, "stats",
-                            SimpleNamespace(norm=SimpleNamespace(ppf=ppf)))
-        quality._normal_quantile.cache_clear()
+        monkeypatch.setattr(core_stats, "ndtri", counting)
+        core_stats.normal_quantile.cache_clear()
         try:
             config = QualityConfig(ci_confidence=0.9)
             session = QualitySession(config=config, metrics=MetricsRegistry())
@@ -245,7 +244,7 @@ class TestEstimatorQuantile:
                                 hi=1.0, population=1000 + i)
             monitors = [EstimatorMonitor(config) for _ in range(40)]
         finally:
-            quality._normal_quantile.cache_clear()
+            core_stats.normal_quantile.cache_clear()
         assert calls == [0.5 + 0.9 / 2]
         assert len({m._z for m in monitors}) == 1
 
@@ -313,3 +312,10 @@ class TestQualityConfigValidation:
             QualityConfig(tta_min_n=1)
         with pytest.raises(ValueError):
             UniformityMonitor(1.0, 0.0, QualityConfig())
+
+    @pytest.mark.parametrize("confidence", [0.0, -0.2, 1.0, 1.5, math.nan])
+    def test_rejects_confidence_outside_unit_interval(self, confidence):
+        # Unchecked, 0 gave z = 0: a zero-width interval that met every
+        # time-to-accuracy target at tta_min_n; 1 gave an infinite one.
+        with pytest.raises(ValueError, match="ci_confidence"):
+            QualityConfig(ci_confidence=confidence)
