@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -339,7 +340,11 @@ def _splits_by_rank(
     at rank ``(j * arity + i) * n // arity^s`` of the sorted order — the
     equi-depth quantiles of that node's data span (medians for arity 2,
     exactly Figure 7).  All required ranks are fetched in one
-    skip-sequential pass.
+    skip-sequential pass: the distinct ranks are sorted once and grouped by
+    the page that holds them, and each such page is read once, in ascending
+    page order, to look up only its own ranks.  The pick-up costs
+    O(ranks + pages) comparisons, and which pages it reads, in what order,
+    and so what it charges depend only on the set of ranks.
     """
     n = sorted_file.num_records
     wanted: set[int] = {0, n - 1}  # domain bounds
@@ -350,13 +355,13 @@ def _splits_by_rank(
 
     per_page = sorted_file.records_per_page
     keys_at_rank: dict[int, float] = {}
-    needed_pages = sorted({rank // per_page for rank in wanted})
-    for page_index in needed_pages:
+    for page_index, page_ranks in groupby(
+        sorted(wanted), key=lambda rank: rank // per_page
+    ):
         records = sorted_file.read_page_records(page_index)
         base = page_index * per_page
-        for rank in wanted:
-            if base <= rank < base + len(records):
-                keys_at_rank[rank] = key_of(records[rank - base])
+        for rank in page_ranks:
+            keys_at_rank[rank] = key_of(records[rank - base])
 
     lo, hi = keys_at_rank[0], keys_at_rank[n - 1]
     domain = Box.closed([lo], [hi])

@@ -100,17 +100,19 @@ class MaterializedSampleView:
             self._all_records(),
             name=f"{self.name}.refresh",
         )
-        old_tree = self.tree
-        self.tree = build_ace_tree(
-            merged,
-            AceBuildParams(
-                key_fields=self.key_fields,
-                height=None,
-                memory_pages=memory_pages,
-                seed=self.seed + 1,
-            ),
-        )
-        merged.free()
+        try:
+            new_tree = build_ace_tree(
+                merged,
+                AceBuildParams(
+                    key_fields=self.key_fields,
+                    height=None,
+                    memory_pages=memory_pages,
+                    seed=self.seed + 1,
+                ),
+            )
+        finally:
+            merged.free()
+        old_tree, self.tree = self.tree, new_tree
         old_tree.free()
         self._delta = []
 

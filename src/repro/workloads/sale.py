@@ -10,7 +10,10 @@ fidelity/runtime knob, not part of the result.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator
+
+import numpy as np
 
 from ..core.records import Field, Record, Schema
 from ..core.rng import derive
@@ -29,6 +32,20 @@ __all__ = [
 DAY_DOMAIN = 1_000_000_000
 
 _GEN_BATCH = 65536
+
+
+def _zip_columns(columns: list[np.ndarray], has_pad: bool) -> Iterator[Record]:
+    """One generated batch as records, from its numpy columns.
+
+    ``tolist`` turns a whole column into Python ints or floats at once, each
+    equal to ``int(column[i])`` or ``float(column[i])``, so the records equal
+    those that indexing the arrays one element at a time builds.  The pad
+    field, when the schema has one, is empty bytes.
+    """
+    values: list = [column.tolist() for column in columns]
+    if has_pad:
+        values.append(repeat(b""))
+    return zip(*values)
 
 
 def sale_schema_1d(record_size: int = 100) -> Schema:
@@ -81,10 +98,7 @@ def generate_sale_1d(
             batch = min(remaining, _GEN_BATCH)
             days = rng.integers(0, DAY_DOMAIN, size=batch)
             others = rng.integers(0, 1_000_000, size=(batch, 3))
-            for i in range(batch):
-                base = (int(days[i]), int(others[i, 0]), int(others[i, 1]),
-                        int(others[i, 2]))
-                yield base + (b"",) if has_pad else base
+            yield from _zip_columns([days, *others.T], has_pad)
             remaining -= batch
 
     return HeapFile.bulk_load(disk, schema, records(), name=name)
@@ -108,10 +122,7 @@ def generate_sale_2d(
             batch = min(remaining, _GEN_BATCH)
             points = rng.random(size=(batch, 2))
             others = rng.integers(0, 1_000_000, size=(batch, 2))
-            for i in range(batch):
-                base = (float(points[i, 0]), float(points[i, 1]),
-                        int(others[i, 0]), int(others[i, 1]))
-                yield base + (b"",) if has_pad else base
+            yield from _zip_columns([*points.T, *others.T], has_pad)
             remaining -= batch
 
     return HeapFile.bulk_load(disk, schema, records(), name=name)

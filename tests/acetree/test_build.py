@@ -1,9 +1,13 @@
 """Unit tests for ACE Tree bulk construction (Phases 1 and 2)."""
 
+import random
+
 import pytest
 
 from repro.acetree import AceBuildParams, build_ace_tree
-from repro.core import Field, Schema
+from repro.acetree.build import _splits_by_rank
+from repro.acetree.geometry import choose_height
+from repro.core import Box, Field, Schema
 from repro.core.errors import IndexBuildError
 from repro.storage import CostModel, HeapFile, SimulatedDisk
 
@@ -159,6 +163,98 @@ class TestMedianSplits:
         ]
         assert len(stored) == 1
         assert stored[0][0] == 42
+
+
+def _splits_by_rank_per_page(sorted_file, key_of, height, arity=2):
+    """Reference Phase 1 pick-up: every needed page tests every wanted rank."""
+    n = sorted_file.num_records
+    wanted = {0, n - 1}
+    for level in range(1, height):
+        for j in range(arity ** (level - 1)):
+            for i in range(1, arity):
+                wanted.add(((j * arity + i) * n) // arity ** level)
+    per_page = sorted_file.records_per_page
+    keys_at_rank = {}
+    for page_index in sorted({rank // per_page for rank in wanted}):
+        records = sorted_file.read_page_records(page_index)
+        base = page_index * per_page
+        for rank in wanted:
+            if base <= rank < base + len(records):
+                keys_at_rank[rank] = key_of(records[rank - base])
+    domain = Box.closed([keys_at_rank[0]], [keys_at_rank[n - 1]])
+    splits = []
+    for level in range(1, height):
+        level_splits = []
+        for j in range(arity ** (level - 1)):
+            level_splits.append(tuple(
+                keys_at_rank[((j * arity + i) * n) // arity ** level]
+                for i in range(1, arity)
+            ))
+        splits.append(level_splits)
+    return domain, splits
+
+
+#: kv_schema on a 2 KB page holds 20 records.
+_PER_PAGE = 20
+
+
+def _sorted_keys(case):
+    rng = random.Random(17)
+    if case == "one":
+        return [42]
+    if case == "short_page":
+        count = _PER_PAGE - 1
+    elif case == "page_multiple":
+        count = 13 * _PER_PAGE
+    elif case == "partial_last_page":
+        count = 13 * _PER_PAGE + 7
+    else:  # duplicates
+        return sorted(rng.randrange(6) for _ in range(9 * _PER_PAGE + 3))
+    return sorted(rng.randrange(1_000_000) for _ in range(count))
+
+
+class TestSplitsByRank:
+    """The grouped pick-up reads the same pages in the same order, yields the
+    same keys and makes the same charges as the reference loop."""
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    @pytest.mark.parametrize("height", [None, 2, 5])
+    @pytest.mark.parametrize(
+        "case",
+        ["one", "short_page", "page_multiple", "partial_last_page",
+         "duplicates"],
+    )
+    def test_matches_per_page_loop(self, kv_schema, arity, height, case):
+        keys = _sorted_keys(case)
+        records = [(k, float(i), b"") for i, k in enumerate(keys)]
+        if height is None:
+            height = choose_height(
+                len(records), kv_schema.record_size, 2048, arity=arity
+            )
+
+        def run(pick_up):
+            disk = SimulatedDisk(page_size=2048, cost=CostModel.scaled(2048))
+            heap = HeapFile.bulk_load(disk, kv_schema, records)
+            assert heap.records_per_page == _PER_PAGE
+            read = []
+            read_page_records = heap.read_page_records
+
+            def spy(index):
+                read.append(index)
+                return read_page_records(index)
+
+            heap.read_page_records = spy
+            result = pick_up(heap, kv_schema.key_getter("k"), height, arity)
+            return result, read, repr(disk.clock), disk.stats
+
+        got, got_reads, got_clock, got_stats = run(_splits_by_rank)
+        want, want_reads, want_clock, want_stats = run(
+            _splits_by_rank_per_page
+        )
+        assert got == want
+        assert got_reads == want_reads
+        assert got_clock == want_clock
+        assert got_stats == want_stats
 
 
 class TestDeterminism:

@@ -57,6 +57,13 @@ class TestBench:
         timers = results["profile"]["timers"]
         assert "ace_build.phase1" in timers
         assert timers["ace_build.phase1"]["calls"] >= 1
+        assert "ace_build.split_keys" in (
+            results["ace_build"]["best_run_profile_seconds"]
+        )
+        auto = results["ace_build_auto"]
+        assert set(auto) == {"seconds", "split_keys_seconds", "sim_seconds",
+                             "page_reads", "page_writes"}
+        assert 0 < auto["split_keys_seconds"] < auto["seconds"]
         overhead = results["span_overhead"]
         assert overhead["noop_ns_per_span"] < 5_000  # near-free when disabled
         assert overhead["detail_ns_per_span"] < 5_000

@@ -5,11 +5,21 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.errors import SchemaError
-from repro.storage import HeapFile
+from repro.core.errors import SchemaError, SortError
+from repro.storage import CostModel, HeapFile, SimulatedDisk
 from repro.view import create_sample_view
 
 from ..conftest import make_kv_records
+
+
+def _refreshable_view(disk, schema, n=5000):
+    """A view over ``n`` records whose source heap is already freed, with a
+    50-record delta waiting for a refresh."""
+    heap = HeapFile.bulk_load(disk, schema, make_kv_records(n, seed=5))
+    v = create_sample_view("leak", heap, index_on=("k",), seed=3)
+    heap.free()
+    v.insert(make_kv_records(50, seed=6))
+    return v
 
 
 @pytest.fixture
@@ -127,3 +137,26 @@ class TestRefresh:
         tree_before = v.tree
         v.refresh()
         assert v.tree is tree_before
+
+    def test_failed_refresh_frees_the_merged_heap(self, disk, kv_schema):
+        v = _refreshable_view(disk, kv_schema)
+        tree_before = v.tree
+        pages_before = disk.allocated_pages
+        everything = v.query(None)
+        visible = multiset(r for b in v.sample(everything, seed=1)
+                           for r in b.records)
+        with pytest.raises(SortError):
+            v.refresh(memory_pages=2)
+        assert disk.allocated_pages == pages_before
+        assert v.tree is tree_before
+        assert v.delta_size == 50
+        assert multiset(r for b in v.sample(everything, seed=1)
+                        for r in b.records) == visible
+
+        v.refresh()
+        clean_disk = SimulatedDisk(page_size=2048, cost=CostModel.scaled(2048))
+        clean = _refreshable_view(clean_disk, kv_schema)
+        clean.refresh()
+        assert disk.allocated_pages == clean_disk.allocated_pages
+        assert v.delta_size == 0
+        assert v.num_records == 5050

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import Box
-from repro.storage import CostModel, SimulatedDisk
+from repro.core.rng import derive
+from repro.storage import CostModel, HeapFile, SimulatedDisk
 from repro.workloads import (
     DAY_DOMAIN,
     generate_sale_1d,
@@ -14,6 +15,7 @@ from repro.workloads import (
     sale_schema_1d,
     sale_schema_2d,
 )
+from repro.workloads import sale
 
 
 @pytest.fixture
@@ -76,6 +78,67 @@ class TestGenerators:
         """More records than one internal generation batch still works."""
         heap = generate_sale_1d(disk, 70_000, seed=6)
         assert heap.num_records == 70_000
+
+
+def _sale_per_element(disk, num_records, seed, record_size, two_d):
+    """Reference generator: one numpy scalar indexed per field."""
+    schema = (sale_schema_2d if two_d else sale_schema_1d)(record_size)
+    has_pad = len(schema.fields) == 5
+
+    def records():
+        rng = derive(seed, "sale-2d" if two_d else "sale-1d")
+        remaining = num_records
+        while remaining > 0:
+            batch = min(remaining, sale._GEN_BATCH)
+            if two_d:
+                points = rng.random(size=(batch, 2))
+                others = rng.integers(0, 1_000_000, size=(batch, 2))
+            else:
+                days = rng.integers(0, DAY_DOMAIN, size=batch)
+                others = rng.integers(0, 1_000_000, size=(batch, 3))
+            for i in range(batch):
+                if two_d:
+                    base = (float(points[i, 0]), float(points[i, 1]),
+                            int(others[i, 0]), int(others[i, 1]))
+                else:
+                    base = (int(days[i]), int(others[i, 0]),
+                            int(others[i, 1]), int(others[i, 2]))
+                yield base + (b"",) if has_pad else base
+            remaining -= batch
+
+    return HeapFile.bulk_load(disk, schema, records(), name="sale")
+
+
+class TestGeneratorsMatchPerElementLoop:
+    """Zipping ``tolist`` columns writes the same pages as indexing one numpy
+    scalar per field."""
+
+    @pytest.mark.parametrize("two_d", [False, True])
+    @pytest.mark.parametrize("record_size", [32, 100])
+    @pytest.mark.parametrize("num_records", [1, 40, 41, 250])
+    def test_same_pages_and_clock(self, monkeypatch, two_d, record_size,
+                                  num_records):
+        # Batches of 7 records straddle every page boundary.
+        monkeypatch.setattr(sale, "_GEN_BATCH", 7)
+        generate = generate_sale_2d if two_d else generate_sale_1d
+
+        def pages(heap):
+            disk = heap.disk
+            with disk.unmetered():
+                return [disk.read_page(pid) for pid in heap.page_ids]
+
+        got_disk = SimulatedDisk(page_size=4096, cost=CostModel.scaled(4096))
+        want_disk = SimulatedDisk(page_size=4096, cost=CostModel.scaled(4096))
+        got = generate(got_disk, num_records, seed=9, record_size=record_size,
+                       name="sale")
+        want = _sale_per_element(want_disk, num_records, 9, record_size, two_d)
+        assert repr(got_disk.clock) == repr(want_disk.clock)
+        assert got_disk.stats == want_disk.stats
+        assert got.page_ids == want.page_ids
+        assert got._extents == want._extents
+        assert got.num_records == want.num_records == num_records
+        assert pages(got) == pages(want)
+        assert list(got.scan()) == list(want.scan())
 
 
 class TestQueryGenerators:
