@@ -154,7 +154,7 @@ def test_ace_sample_traced_overhead(benchmark, ace_tree):
 
 
 def test_span_overhead_disabled_paths():
-    """Disabled tracing must stay near-free: assert generous absolute bounds.
+    """Disabled tracing must stay near-free: assert a generous absolute bound.
 
     ``python -m repro bench`` reports the same numbers; the bound here is
     deliberately loose (5 µs/span, ~20x what we observe) so the assertion
@@ -164,19 +164,12 @@ def test_span_overhead_disabled_paths():
 
     result = _span_overhead_benchmarks(repeat=3)
     assert result["noop_ns_per_span"] < 5_000
-    assert result["detail_ns_per_span"] < 5_000
-    # The aggregate-timer tier does two clock reads + a locked dict update;
-    # it is used per *phase*, so a looser bound is fine.
-    assert result.get("timer_ns_per_span", 0.0) < 20_000
 
 
 def test_noop_span_in_tight_loop(benchmark):
-    from repro.core.profile import PROFILE
     from repro.obs.tracer import TRACER
 
     assert not TRACER.enabled
-    profile_was = PROFILE.enabled
-    PROFILE.disable()
 
     def run():
         span = TRACER.span
@@ -184,11 +177,7 @@ def test_noop_span_in_tight_loop(benchmark):
             with span("bench.noop"):
                 pass
 
-    try:
-        benchmark.pedantic(run, rounds=5, iterations=1)
-    finally:
-        if profile_was:
-            PROFILE.enable()
+    benchmark.pedantic(run, rounds=5, iterations=1)
 
 
 def test_bplus_sample_1000_records(benchmark, relation):

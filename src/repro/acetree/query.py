@@ -461,7 +461,6 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
                     # per-record CPU of processing the leaf is charged.
                     stats.cache_hits += 1
                     disk.charge_records(leaf.num_records)
-                    TRACER.count("ace_query.cache_hits")
                     if sp is not None:
                         sp.attrs["cache_hit"] = True
                 else:
@@ -480,7 +479,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
                             self._cache_insert(leaf_index, leaf)
                 if leaf is not None:
                     stats.leaves_read += 1
-                    with TRACER.span("ace_query.combine", detail=True) as combine_sp:
+                    with TRACER.span("ace_query.combine") as combine_sp:
                         emitted = self._process_leaf(leaf_index, leaf)
                         emitted_count = sum([c._count for c in emitted])
                         if combine_sp is not None:
@@ -495,7 +494,6 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
             if root_done[0]:
                 # Every remaining leaf was lost; drain what combined.
                 return self._final_flush()
-        TRACER.count("ace_query.leaves_read")
         perm = self._perm_rng.permutation(emitted_count).tolist()
         stats.records_emitted += emitted_count
         if TRACER.enabled:
@@ -540,7 +538,6 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         self._mark_done(leaf_index)
         self.stats.lost_leaves += 1
         self.lost_leaves.append(leaf_index)
-        TRACER.count("ace_query.lost_leaves")
         if TRACER.enabled:
             METRICS.counter("query.lost_leaves").child(CONTEXT.label_key()).inc()
         if sp is not None:
@@ -859,7 +856,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
 
     def _final_flush(self) -> SampleBatch:
         """Drain every remaining bucket once all leaves have been read."""
-        with TRACER.span("ace_query.final_flush", disk=self.tree.disk, detail=True) as sp:
+        with TRACER.span("ace_query.final_flush", disk=self.tree.disk) as sp:
             leftovers: list[Cell] = []
             for bucket in self._buckets:
                 for cells in bucket.values():

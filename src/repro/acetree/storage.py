@@ -185,6 +185,9 @@ class LeafStore:
         self._offsets = offsets
         self._extents = extents
         self._memo = DecodeMemo(_LEAF_MEMO_LEAVES)
+        #: Data pages requested by :meth:`read_leaf_view`, memo hits
+        #: included; ``check_sample`` balances it against the disk's reads.
+        self.pages_read = 0
         #: Opaque identity for cache keys (see module docstring of
         #: :mod:`repro.storage.sample_cache`); bumped by :meth:`free`.
         self.cache_token = next(_CACHE_TOKENS)
@@ -242,10 +245,10 @@ class LeafStore:
         first = start // page_size
         last = max(first, (end - 1) // page_size) if end > start else first
         span = last - first + 1
-        # Every simulated page read below is attributed to this counter;
+        # Every simulated page read below is attributed to pages_read;
         # check_sample verifies the attribution balances (cost conservation).
-        TRACER.count("leaf_store.pages_read", span)
-        with TRACER.span("leaf_store.read_leaf", disk=self.disk, detail=True) as sp:
+        self.pages_read += span
+        with TRACER.span("leaf_store.read_leaf", disk=self.disk) as sp:
             if sp is not None:
                 sp.attrs["leaf"] = leaf_index
                 sp.attrs["pages"] = span

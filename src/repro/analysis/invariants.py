@@ -13,7 +13,8 @@ those layers:
   prefix of the sample stream must be statistically uniform over the
   matching population (chi-square against the exact per-cell matching
   counts), and every simulated page read during the query must be
-  attributed to exactly one ``PROFILE`` counter (cost conservation).
+  attributed to a leaf read by the leaf store's ``pages_read`` count
+  (cost conservation).
 * :func:`check_stream` — white-box invariants of a live
   :class:`~repro.acetree.query.SampleStream` (toggle bits in range,
   buffered-record accounting exact).
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..core.errors import InvariantViolation
-from ..core.profile import PROFILE
 from ..core.stats import chi2_sf
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -242,7 +242,8 @@ def check_sample(
     chi-square-tested against the exact per-leaf-cell composition of the
     full matching population; a uniform random prefix matches those
     proportions.  Every simulated page read during the query must equal the
-    pages attributed to the ``leaf_store.pages_read`` PROFILE counter.
+    pages the tree's leaf store attributes to leaf reads (its
+    ``pages_read`` count).
 
     The stream is deterministic given ``(tree, query, seed)``, so a pass or
     failure is exactly reproducible — there is no test flakiness, only
@@ -254,27 +255,22 @@ def check_sample(
     """
     geometry = tree.geometry
     key_of = tree.schema.keys_getter(tree.key_fields)
-    profile_was_enabled = PROFILE.enabled
-    PROFILE.enable()
-    pages_attr_before = PROFILE.counter("leaf_store.pages_read")
-    try:
-        with tree.disk.unmetered():
-            stream = tree.sample(query, seed=seed)
-            emitted: list = []
-            for batch in stream:
-                check_stream(stream)
-                emitted.extend(batch.records)
-            pages_read = tree.disk.stats.page_reads
-            leaves_read = stream.stats.leaves_read
-    finally:
-        if not profile_was_enabled:
-            PROFILE.disable()
-    pages_attributed = PROFILE.counter("leaf_store.pages_read") - pages_attr_before
+    store = tree.leaf_store
+    pages_attr_before = store.pages_read
+    with tree.disk.unmetered():
+        stream = tree.sample(query, seed=seed)
+        emitted: list = []
+        for batch in stream:
+            check_stream(stream)
+            emitted.extend(batch.records)
+        pages_read = tree.disk.stats.page_reads
+        leaves_read = stream.stats.leaves_read
+    pages_attributed = store.pages_read - pages_attr_before
 
     if pages_read != pages_attributed:
         _fail(
             f"cost conservation broken: disk served {pages_read} page "
-            f"reads, PROFILE attributes {pages_attributed}"
+            f"reads, the leaf store attributes {pages_attributed}"
         )
 
     population = len(emitted)

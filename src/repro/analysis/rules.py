@@ -9,8 +9,8 @@ RNG001   all randomness flows through ``core/rng.py`` (``derive`` /
 STA001   only ``core/stats.py`` imports ``scipy.stats`` or
          ``scipy.special``; p-values, quantiles and intervals come from it.
 CLK001   no wall-clock / real-I/O access outside the sanctioned modules
-         (``storage/disk.py`` owns the simulated clock, ``core/profile.py``
-         is the wall-clock profiling layer).
+         (``storage/disk.py`` owns the simulated clock, ``obs/tracer.py``
+         is the wall-clock tracing layer).
 FLT001   no ``==`` / ``!=`` on key or split-bound floats in ``acetree/``.
 LAY001   package layering is respected (``core`` < ``storage`` <
          ``acetree``/``workloads`` < ``baselines``/``apps`` < ``view`` <
@@ -126,10 +126,10 @@ def check_stats_imports(ctx: LintContext) -> Iterator[Finding]:
 # CLK001 — clock and I/O integrity
 # ---------------------------------------------------------------------------
 
-#: ``storage/disk.py`` owns the simulated clock; ``core/profile.py`` and
-#: ``obs/tracer.py`` are the sanctioned wall-clock layers (profiler and
-#: tracer measure the implementation itself, never the modeled hardware).
-_CLK_SANCTIONED = {"storage.disk", "core.profile", "obs.tracer"}
+#: ``storage/disk.py`` owns the simulated clock; ``obs/tracer.py`` is the
+#: sanctioned wall-clock layer (the tracer measures the implementation
+#: itself, never the modeled hardware).
+_CLK_SANCTIONED = {"storage.disk", "obs.tracer"}
 
 #: Modules whose import alone gives access to wall time / raw I/O.  The
 #: import is the choke point: one finding per module instead of one per
@@ -163,8 +163,8 @@ def check_clock(ctx: LintContext) -> Iterator[Finding]:
                         "CLK001",
                         node,
                         f"import of {root!r}: timing must flow through the "
-                        "simulated clock (storage/disk.py) or the profiler "
-                        "(core/profile.py)",
+                        "simulated clock (storage/disk.py) or the tracer "
+                        "(obs/tracer.py)",
                     )
         elif isinstance(node, ast.ImportFrom):
             base = resolve_import_base(node, ctx.module)
@@ -173,8 +173,8 @@ def check_clock(ctx: LintContext) -> Iterator[Finding]:
                     "CLK001",
                     node,
                     f"import from {base!r}: timing must flow through the "
-                    "simulated clock (storage/disk.py) or the profiler "
-                    "(core/profile.py)",
+                    "simulated clock (storage/disk.py) or the tracer "
+                    "(obs/tracer.py)",
                 )
         elif isinstance(node, ast.Call):
             name = canonical_name(node.func, ctx.aliases)

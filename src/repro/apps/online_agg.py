@@ -146,7 +146,7 @@ def aggregate_stream(
             continue
         # One estimate tick per batch; the span carries the running error
         # and closes before the yield (no span across generator suspension).
-        with TRACER.span("online_agg.tick", detail=True) as sp:
+        with TRACER.span("online_agg.tick") as sp:
             aggregator.update(batch.records)
             # One half-width per batch serves both the interval and the
             # stopping rule.

@@ -286,7 +286,7 @@ class RankedBPlusTree:
             if rank in used:
                 continue
             used.add(rank)
-            with TRACER.span("bplus.fetch", disk=disk, detail=True):
+            with TRACER.span("bplus.fetch", disk=disk):
                 record = self.record_at_rank(rank)
             if emitted is not None:
                 emitted.inc()
@@ -326,7 +326,7 @@ class RankedBPlusTree:
         )
         side = query.sides[0]
         for page_index in pages:
-            with TRACER.span("bplus.fetch", disk=disk, detail=True) as sp:
+            with TRACER.span("bplus.fetch", disk=disk) as sp:
                 records, keys = self._read_leaf(page_index)
                 matching = tuple(
                     record

@@ -112,7 +112,7 @@ class PermutedFile:
             if TRACER.enabled else None
         )
         while True:
-            with TRACER.span("permuted.page", disk=disk, detail=True) as sp:
+            with TRACER.span("permuted.page", disk=disk) as sp:
                 view = next(views, None)
                 if view is None:
                     return

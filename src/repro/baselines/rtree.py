@@ -362,7 +362,7 @@ class RTree:
             j = bisect_right(cumulative, rank)
             slot = rank - (cumulative[j - 1] if j else 0)
             page_index = entries[j][0]
-            with TRACER.span("rtree.fetch", disk=disk, detail=True):
+            with TRACER.span("rtree.fetch", disk=disk):
                 records = self._leaf_cache.read(self.leaves.page_ids[page_index])
             record = records[slot]
             if not query.contains_point(self._key_of(record)):

@@ -2,8 +2,7 @@
 
 Submodules are imported lazily (PEP 562) so that importing ``repro.bench``
 for a single symbol does not drag in the figure harness (which itself
-imports the whole library).  ``PROFILE``/``Profiler`` are re-exported from
-their real home, :mod:`repro.core.profile`.
+imports the whole library).
 """
 
 from typing import TYPE_CHECKING
@@ -26,14 +25,12 @@ _FIGURE_EXPORTS = {
 _MODEL_EXPORTS = {"ExperimentModel"}
 _RACE_EXPORTS = {"AveragedCurve", "RaceCurve", "average_curves", "make_grid", "run_race"}
 _REPORT_EXPORTS = {"format_figure", "format_summary"}
-_PROFILE_EXPORTS = {"Profiler", "PROFILE"}
 
 __all__ = sorted(
     _FIGURE_EXPORTS
     | _MODEL_EXPORTS
     | _RACE_EXPORTS
     | _REPORT_EXPORTS
-    | _PROFILE_EXPORTS
 )
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
@@ -52,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         get_context,
         run_figure,
     )
-    from ..core.profile import PROFILE, Profiler  # noqa: F401
     from .model import ExperimentModel  # noqa: F401
     from .race import (  # noqa: F401
         AveragedCurve,
@@ -73,8 +69,6 @@ def __getattr__(name: str):
         from . import race as module
     elif name in _REPORT_EXPORTS:
         from . import report as module
-    elif name in _PROFILE_EXPORTS:
-        from ..core import profile as module
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(module, name)

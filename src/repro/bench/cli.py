@@ -457,11 +457,7 @@ def _run_bench(args) -> int:
         spans = results["span_overhead"]
         print(f"query   ace {query['samples_per_s'] / 1e3:8.1f} ksamples/s "
               f"(first {query['first_k']})")
-        line = (f"span    noop {spans['noop_ns_per_span']:6.1f} ns   "
-                f"detail {spans['detail_ns_per_span']:6.1f} ns")
-        if "timer_ns_per_span" in spans:
-            line += f"   timer {spans['timer_ns_per_span']:6.1f} ns"
-        print(line)
+        print(f"span    noop {spans['noop_ns_per_span']:6.1f} ns")
     if args.compare:
         return _run_compare(args, results)
     return 0

@@ -23,7 +23,6 @@ from typing import Callable
 from ..acetree import AceBuildParams, build_ace_tree
 from ..core import Field, Schema
 from ..core.intervals import Box, Interval
-from ..core.profile import PROFILE
 from ..core.rng import derive_random
 from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
@@ -115,7 +114,7 @@ def _sort_benchmarks(n: int, repeat: int) -> dict:
     }
 
 
-#: Profiled build phases reported beside each timed build.
+#: Build phases whose traced wall seconds are reported beside each build.
 _BUILD_PHASES = (
     "ace_build.phase1",
     "ace_build.split_keys",
@@ -128,24 +127,34 @@ _BUILD_PHASES = (
 def _measure_build(
     n: int, repeat: int, params: AceBuildParams
 ) -> tuple[float, dict, dict]:
-    """Best-of-``repeat`` build seconds, that run's phase seconds, and the
-    simulated cost of one more (untimed) build."""
-    best = float("inf")
-    breakdown: dict = {}
-    for _ in range(repeat):
-        rel = _fresh_relation(n)
-        PROFILE.reset()
-        started = time.perf_counter()
-        build_ace_tree(rel, params)
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-            breakdown = {name: PROFILE.seconds(name) for name in _BUILD_PHASES}
+    """Best-of-``repeat`` build seconds, plus the phase seconds and the
+    simulated cost of one more (untimed) build.
+
+    That build runs under a :class:`~repro.obs.recorder.TraceRecorder`
+    on a private registry, and its spans give the phase breakdown.
+    Tracing only reads the simulated clock, so the cost equals an
+    untraced build's; a final ``COST.reset()`` keeps the process-global
+    ledger clean.
+    """
+    from ..obs.cost import COST
+    from ..obs.metrics import MetricsRegistry
+    from ..obs.recorder import TraceRecorder
+
+    best = _best_of(
+        repeat, lambda: _fresh_relation(n), lambda rel: build_ace_tree(rel, params)
+    )
     rel = _fresh_relation(n)
     disk = rel.disk
     clock0, stats0 = disk.clock, disk.stats.snapshot()
-    build_ace_tree(rel, params)
+    recorder = TraceRecorder(metrics=MetricsRegistry())
+    with recorder:
+        build_ace_tree(rel, params)
+    COST.reset()
     delta = disk.stats - stats0
+    breakdown = dict.fromkeys(_BUILD_PHASES, 0.0)
+    for span in recorder.spans:
+        if span.name in breakdown:
+            breakdown[span.name] += span.wall_seconds
     sim = {
         "sim_seconds": disk.clock - clock0,
         "page_reads": delta.page_reads,
@@ -162,6 +171,7 @@ def _build_benchmarks(n: int, repeat: int) -> dict:
     return {
         "records_per_s": n / best,
         "seconds": best,
+        # Named as in the committed BENCH files, so they still compare.
         "best_run_profile_seconds": breakdown,
         **sim,
     }
@@ -450,14 +460,10 @@ def _online_agg_benchmarks(n: int, repeat: int) -> dict:
 
 
 def _span_overhead_benchmarks(repeat: int) -> dict:
-    """Per-span cost of ``TRACER.span`` on its cheap paths, in ns.
+    """Per-span cost of ``TRACER.span`` with tracing off, in ns.
 
-    ``noop``: tracing *and* profiling disabled — returns the shared no-op
-    singleton without touching any clock.  ``detail``: tracing disabled,
-    ``detail=True`` — the hot-loop path production query runs take (one
-    call + branch, no clock reads, regardless of the profiler).  ``timer``:
-    tracing disabled, profiler enabled, phase-level span — one
-    ``perf_counter`` pair plus a locked dictionary update.
+    The call returns the shared no-op singleton without touching any
+    clock: what every instrumented site costs an untraced run.
     """
     spans = 50_000
 
@@ -467,35 +473,17 @@ def _span_overhead_benchmarks(repeat: int) -> dict:
             with span("micro.noop"):
                 pass
 
-    def loop_detail(_state) -> None:
-        span = TRACER.span
-        for _ in range(spans):
-            with span("micro.noop", detail=True):
-                pass
-
     tracer_was = TRACER.enabled
-    profile_was = PROFILE.enabled
     TRACER.disable()
     try:
-        detail_s = _best_of(repeat, lambda: None, loop_detail)
-        PROFILE.disable()
-        try:
-            noop_s = _best_of(repeat, lambda: None, loop)
-        finally:
-            if profile_was:
-                PROFILE.enable()
-        timer_s = _best_of(repeat, lambda: None, loop) if profile_was else None
+        noop_s = _best_of(repeat, lambda: None, loop)
     finally:
         if tracer_was:
             TRACER.enable()
-    result = {
+    return {
         "spans_per_run": spans,
         "noop_ns_per_span": noop_s / spans * 1e9,
-        "detail_ns_per_span": detail_s / spans * 1e9,
     }
-    if timer_s is not None:
-        result["timer_ns_per_span"] = timer_s / spans * 1e9
-    return result
 
 
 def _label_overhead_benchmarks(repeat: int) -> dict:
@@ -729,10 +717,6 @@ def run_micro(n: int = 20_000, repeat: int = 5, figures: bool = False) -> dict:
     results["online_agg"] = _online_agg_benchmarks(n, repeat)
     if figures:
         results["figure_sim"] = _figure_benchmarks()
-    # The aggregate profile over the whole suite (the last reset happens in
-    # _measure_build, so timers cover the auto-height build and the
-    # query/span sections).
-    results["profile"] = PROFILE.snapshot()
     if TRACER.enabled:
         results["metrics"] = METRICS.snapshot()
     return results

@@ -1,4 +1,4 @@
-"""Core primitives: errors, RNG discipline, intervals, schemas, profiling."""
+"""Core primitives: errors, RNG discipline, intervals, schemas, statistics."""
 
 from .errors import (
     BufferPoolError,
@@ -19,7 +19,6 @@ from .errors import (
     ViewError,
 )
 from .intervals import Box, Interval
-from .profile import PROFILE, Profiler
 from .records import Field, Record, Schema
 from .rng import derive, derive_random, make_rng, spawn
 
@@ -32,11 +31,9 @@ __all__ = [
     "IndexBuildError",
     "Interval",
     "InvariantViolation",
-    "PROFILE",
     "PageCorruptionError",
     "PageError",
     "ParseError",
-    "Profiler",
     "QueryError",
     "Record",
     "ReproError",

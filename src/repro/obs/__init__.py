@@ -10,9 +10,11 @@ the modeled hardware would charge).  This package provides that view:
   operation (a build phase, a sort run, a Shuttle stab, a leaf read) and
   records both clocks at entry/exit plus the simulated page-read/write
   deltas, structured attributes, and its position in the per-operation
-  trace tree.  When tracing is disabled the ``span()`` call degrades to the
-  wall-clock aggregate path (feeding :data:`repro.core.profile.PROFILE`) or
-  to a shared no-op object, so instrumentation can stay in hot paths.
+  trace tree.  When tracing is disabled the ``span()`` call returns a
+  shared no-op object and reads no clock, so instrumentation can stay in
+  hot paths.  This is the one instrumentation path: per-phase wall time
+  comes from a traced run, and counts from metrics or the engine's own
+  statistics.
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket histograms
   (records-per-page-read, stab depth, time-to-first-k-samples, ...), each
   a *family* whose ``labels()`` children break the value down by dimension

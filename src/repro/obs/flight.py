@@ -6,8 +6,8 @@ ring buffer that — while armed — captures every finished span, every
 labeled metric update, every finalized quality record, and every injected
 storage fault, overwriting the oldest events once full.  Memory is
 bounded by construction and the disarmed cost is one attribute check per
-event source (the same branch discipline as the tracer's three-tier
-fast path), so instrumented call sites never pay for it in production
+event source (the same branch discipline as the tracer's no-op span
+path), so instrumented call sites never pay for it in production
 paths.
 
 ``dump()`` writes the ring as a **kind-versioned JSONL artifact** using

@@ -15,12 +15,14 @@ the text report and ``bench --json`` surface:
 (The stab-depth and time-to-first-k histograms are observed at the query
 call sites themselves, where the values are in scope.)
 
-The recorder also brackets the cost accountant
+The recorder that turns tracing on also brackets the cost accountant
 (:data:`~repro.obs.cost.COST`): ``install`` arms it so the storage
 charge points attribute every page read to the ambient
 tenant/query/sampler context, and ``uninstall`` publishes the ledger as
 ``obs.cost.*`` labeled counters before disarming (the ledger itself
-stays readable for reports).  Derived histogram observations pass the
+stays readable for reports).  A recorder installed while tracing is
+already on only collects spans: the enclosing trace keeps its span stack
+and its ledger.  Derived histogram observations pass the
 finished span's own id so exemplars point at the span that produced the
 value — the listener runs after the span popped off the stack, so the
 ambient ``current_span_id`` would name the parent instead.
@@ -51,13 +53,17 @@ class TraceRecorder:
     # -- lifecycle -----------------------------------------------------
 
     def install(self, tracer: Tracer | None = None) -> "TraceRecorder":
-        """Attach to *tracer* (default: the process tracer) and enable it."""
+        """Attach to *tracer* (default: the process tracer) and enable it.
+
+        Only the recorder that turns tracing on arms :data:`COST`.
+        """
         tracer = tracer if tracer is not None else TRACER
         self._tracer = tracer
         self._was_enabled = tracer.enabled
         tracer.add_listener(self.on_span)
-        tracer.enable()
-        COST.arm()
+        if not self._was_enabled:
+            tracer.enable()
+            COST.arm()
         return self
 
     def uninstall(self) -> None:
@@ -66,11 +72,11 @@ class TraceRecorder:
         if tracer is None:
             return
         tracer.remove_listener(self.on_span)
+        self._tracer = None
         if not self._was_enabled:
             tracer.disable()
-        self._tracer = None
-        COST.publish(self.metrics)
-        COST.disarm()
+            COST.publish(self.metrics)
+            COST.disarm()
 
     def __enter__(self) -> "TraceRecorder":
         return self.install()

@@ -69,6 +69,10 @@ class MetricRule:
 DEFAULT_RULES: tuple[MetricRule, ...] = (
     MetricRule(r"meta\..*", "ignore"),
     MetricRule(r"seed_comparison\..*", "ignore"),
+    # Committed BENCH files up to BENCH_PR17.json carry a ``profile``
+    # section that newer runs lack; without this rule its counters (e.g.
+    # ``profile.counters.ace_query.leaves_read``) would classify as exact
+    # and report missing.
     MetricRule(r"profile\..*", "ignore"),
     # Dropped label sets must stay exactly zero: silent cardinality
     # overflow would quietly unlabel per-tenant series.  Matched before

@@ -3,7 +3,7 @@
 A *span* brackets one operation and records, at entry and exit:
 
 * the **wall clock** (``time.perf_counter`` — this module is one of the
-  three sanctioned wall-clock sites, see lint rule CLK001), and
+  two sanctioned wall-clock sites, see lint rule CLK001), and
 * the **simulated clock** of the :class:`~repro.storage.disk.SimulatedDisk`
   the operation runs against — ``disk.clock`` plus the page-read/write
   deltas of ``disk.stats``.
@@ -12,22 +12,19 @@ The tracer never *charges* the simulated disk; it only reads the clock and
 counters at span boundaries, so a traced run is bit-identical to an
 untraced one on the simulated timeline.
 
-``Tracer.span()`` has a three-tier fast path chosen per call:
+``Tracer.span()`` has two paths, chosen per call:
 
 1. **tracing enabled** — a full :class:`SpanRecord` is built, linked into
    the current thread's span stack (parent/child), and dispatched to every
    listener on exit;
-2. **tracing disabled, aggregate profile attached and enabled** — a
-   lightweight timer object measures wall time only and folds it into the
-   attached :class:`~repro.core.profile.Profiler` under the span name,
-   exactly like the legacy ``PROFILE.timer(name)`` path (skipped for
-   ``detail=True`` hot-loop spans, which only record while tracing);
-3. **both off** — the shared :data:`NOOP_SPAN` singleton is returned, whose
-   ``__enter__`` yields ``None``.  This path allocates nothing and is the
-   reason instrumentation may live in hot loops (the ``bench`` micro suite
-   asserts its per-call cost).
+2. **tracing disabled** — the shared :data:`NOOP_SPAN` singleton is
+   returned, whose ``__enter__`` yields ``None``.  This path allocates
+   nothing and reads no clock, which is why instrumentation may live in
+   hot loops (the ``bench`` micro suite reports its per-call cost).
 
-Call sites therefore follow the pattern::
+Per-phase wall time comes from a traced run (``trace report``, or the
+spans a :class:`~repro.obs.recorder.TraceRecorder` collects); an untraced
+run measures nothing.  Call sites follow the pattern::
 
     with TRACER.span("ace_query.stab", disk=tree.disk) as sp:
         ...
@@ -36,7 +33,8 @@ Call sites therefore follow the pattern::
 
 The span stack is thread-local: concurrent threads build disjoint trace
 trees.  Listener registration and span-id allocation are lock-protected.
-Do not toggle ``enable()``/``disable()`` while spans are open.
+``enable()`` while tracing is on keeps the open spans; do not turn tracing
+off and on again while spans are open.
 """
 
 from __future__ import annotations
@@ -130,28 +128,6 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()  # repro: shared[frozen] stateless sentinel span
 
 
-class _TimerSpan:
-    """Aggregate-only span: wall time folded into the attached profiler.
-
-    Used when tracing is off but the legacy ``PROFILE`` registry is
-    enabled — semantically identical to ``Profiler.timer(name)``.
-    """
-
-    __slots__ = ("_profile", "_name", "_start")
-
-    def __init__(self, profile, name: str) -> None:
-        self._profile = profile
-        self._name = name
-
-    def __enter__(self):
-        self._start = perf_counter()
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        self._profile.add_time(self._name, perf_counter() - self._start)
-        return False
-
-
 class _LiveSpan:
     """Full recording span: dual clocks, disk deltas, tree linkage."""
 
@@ -206,36 +182,22 @@ class _LiveSpan:
         if stack:
             stack[-1][0].children.append(record)
         tracer._dispatch(record)
-        profile = tracer._profile
-        if profile is not None:
-            profile.add_time(record.name, record.end_wall - record.start_wall)
         return False
 
 
 class Tracer:
     """Span factory + listener hub.  One process-wide instance: :data:`TRACER`."""
 
-    __slots__ = ("enabled", "_profile", "_listeners", "_lock", "_span_ids", "_tls")
+    __slots__ = ("enabled", "_listeners", "_lock", "_span_ids", "_tls")
 
     def __init__(self) -> None:
         self.enabled = False
-        self._profile = None
         self._listeners: list = []
         self._lock = Lock()
         self._span_ids = 0
         self._tls = local()
 
     # -- configuration -------------------------------------------------
-
-    def attach_profile(self, profile) -> None:
-        """Make *profile* a consumer of the span stream.
-
-        Every measured span (live or aggregate-only) folds its wall time
-        into ``profile.add_time(span_name, seconds)``, and
-        :meth:`count` forwards to ``profile.count`` — this is how the
-        legacy ``PROFILE`` registry keeps working on top of the tracer.
-        """
-        self._profile = profile
 
     def add_listener(self, listener) -> None:
         """Register ``listener(record)`` to run on every finished live span."""
@@ -249,43 +211,33 @@ class Tracer:
                 self._listeners.remove(listener)
 
     def enable(self) -> None:
-        """Turn on full span recording (resets this thread's span stack)."""
-        self._tls.stack = []
-        self.enabled = True
+        """Turn on full span recording.
+
+        Turning tracing on resets this thread's span stack; enabling it
+        again while it is on keeps the stack, so spans already open close
+        normally.
+        """
+        if not self.enabled:
+            self._tls.stack = []
+            self.enabled = True
 
     def disable(self) -> None:
         self.enabled = False
 
     # -- span creation -------------------------------------------------
 
-    def span(self, name: str, disk=None, detail=False, **attrs):
+    def span(self, name: str, disk=None, **attrs):
         """Open a span named *name*, optionally bound to a simulated *disk*.
 
         When *disk* is omitted the span inherits the enclosing live span's
         disk (if any), so call sites deep in the stack need not thread the
         disk handle through.  Extra keyword arguments become initial span
-        attributes (only materialized when tracing is enabled).
-
-        ``detail=True`` marks a hot-loop span (per stab, per page, per
-        batch): it records normally while tracing but skips the aggregate
-        timer tier when tracing is off, so instrumenting a hot loop costs
-        one call + branch rather than a ``perf_counter`` pair.  Phase-level
-        spans (the legacy ``PROFILE`` names) stay ``detail=False``.
+        attributes (only materialized when tracing is enabled).  With
+        tracing off this returns :data:`NOOP_SPAN`.
         """
         if self.enabled:
             return _LiveSpan(self, name, disk, attrs)
-        if detail:
-            return NOOP_SPAN
-        profile = self._profile
-        if profile is not None and profile.enabled:
-            return _TimerSpan(profile, name)
         return NOOP_SPAN
-
-    def count(self, name: str, value: int = 1) -> None:
-        """Bump the aggregate counter *name* (no-op without a profile)."""
-        profile = self._profile
-        if profile is not None:
-            profile.count(name, value)
 
     def current_span_id(self) -> int | None:
         """The id of this thread's innermost live span, if any.

@@ -303,8 +303,6 @@ class ServeScheduler:  # repro: shared[owner=serve.scheduler] the owner itself: 
                 continue
             if self._queued >= self.config.queue_cap:
                 state.rejected_queue += 1
-                if TRACER.enabled:
-                    TRACER.count("serve.rejected")
                 continue
             state.admitted += 1
             self._queued += 1
@@ -426,8 +424,6 @@ class ServeScheduler:  # repro: shared[owner=serve.scheduler] the owner itself: 
             state.tta.append(hit.sim_seconds)
         state.finished_runs.append(run)
         state.active = None
-        if TRACER.enabled:
-            TRACER.count("serve.completed")
         # Closed loop: the completion is what triggers the next submission.
         if self.workload.spec.closed_loop and state.pending:
             nxt = state.pending.popleft()

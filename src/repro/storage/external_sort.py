@@ -98,7 +98,7 @@ class _FillSpan:
 
     def ensure(self) -> None:
         if self._open is None:
-            span = TRACER.span("external_sort.run_fill", disk=self._disk, detail=True)
+            span = TRACER.span("external_sort.run_fill", disk=self._disk)
             span.__enter__()
             self._open = span
 
@@ -352,7 +352,6 @@ def _generate_runs(
             )
         if free_source:
             source.free()
-    TRACER.count("external_sort.runs", len(runs))
     return runs, schema
 
 

@@ -11,8 +11,8 @@ heap-file scans, leaf fetches — recovers identically:
   :meth:`~repro.storage.disk.SimulatedDisk.charge_io`, so recovery is not
   free time — the paper's time-resolved curves degrade honestly under
   faults;
-* every retry is counted on the ``storage.read_retries`` tracer counter,
-  so a fault-injected run's recovery work is visible in traces.
+* every retry is counted on the ``storage.read_retries`` metric while
+  tracing, so a fault-injected run's recovery work is visible in traces.
 
 Corruption (:class:`~repro.core.errors.PageCorruptionError`) is *not*
 retried here: the checksum mismatch is persistent, and the caller must
@@ -38,8 +38,7 @@ from .disk import SimulatedDisk
 
 
 def _count_retry() -> None:
-    """One retry tick: profile counter always, labeled metric when tracing."""
-    TRACER.count("storage.read_retries")
+    """One retry tick: a labeled metric while tracing."""
     if TRACER.enabled:
         METRICS.counter("storage.read_retries").child(CONTEXT.label_key()).inc()
 

@@ -114,6 +114,22 @@ class TestVariableSizeLeaves:
         assert disk.stats.seeks == 1
         assert disk.stats.page_reads == span
 
+    def test_pages_read_counts_cold_and_memo_reads(self, disk, schema):
+        writer = LeafStoreWriter(disk, schema, height=2, num_leaves=4)
+        for leaf in range(4):
+            records = [(i, float(i)) for i in range(40 * leaf + 1)]
+            writer.append_leaf(leaf, [records, []])
+        store = writer.finish()
+        spans = sum(store.leaf_page_span(i)[1] for i in range(store.num_leaves))
+        assert spans > store.num_leaves  # some leaves span pages
+        assert store.pages_read == 0
+        reads0 = disk.stats.page_reads
+        cold = [store.read_leaf_view(i) for i in range(store.num_leaves)]
+        memo = [store.read_leaf_view(i) for i in range(store.num_leaves)]
+        assert all(a is b for a, b in zip(cold, memo))  # decode memo hits
+        assert store.pages_read == 2 * spans
+        assert disk.stats.page_reads - reads0 == 2 * spans
+
 
 class TestStoreApi:
     def test_iter_leaves(self, disk, schema):

@@ -178,7 +178,7 @@ class TestCheckSample:
         assert tree.disk.clock == clock
 
     def test_unattributed_page_read_detected(self, built, monkeypatch):
-        """A page the disk serves without a PROFILE counter entry breaks
+        """A page the disk serves outside the leaf store's page count breaks
         cost conservation."""
         _records, tree = built
         original = tree.leaf_store.read_leaf_view

@@ -7,8 +7,7 @@ import pytest
 from repro.acetree import AceBuildParams, build_ace_tree
 from repro.core import Field, Schema
 from repro.core.intervals import Box, Interval
-from repro.core.profile import Profiler
-from repro.obs import NOOP_SPAN, TraceRecorder
+from repro.obs import COST, NOOP_SPAN, MetricsRegistry, TraceRecorder
 from repro.obs.tracer import TRACER, Tracer
 from repro.storage import CostModel, HeapFile, SimulatedDisk
 
@@ -24,40 +23,13 @@ class TestFastPaths:
         with span as inner:
             assert inner is None
 
-    def test_detail_span_skips_timer_tier(self):
-        tracer = Tracer()
-        profile = Profiler()
-        tracer.attach_profile(profile)
-        assert tracer.span("hot", detail=True) is NOOP_SPAN
-        with tracer.span("hot", detail=True):
-            pass
-        assert profile.calls("hot") == 0
-
-    def test_timer_tier_feeds_profiler(self):
-        tracer = Tracer()
-        profile = Profiler()
-        tracer.attach_profile(profile)
-        span = tracer.span("phase")
-        assert span is not NOOP_SPAN
-        with span as inner:
-            assert inner is None
-        assert profile.calls("phase") == 1
-        assert profile.seconds("phase") >= 0.0
-
-    def test_disabled_profiler_falls_back_to_noop(self):
-        tracer = Tracer()
-        profile = Profiler()
-        profile.disable()
-        tracer.attach_profile(profile)
-        assert tracer.span("phase") is NOOP_SPAN
-
-    def test_count_forwards_to_profile(self):
-        tracer = Tracer()
-        profile = Profiler()
-        tracer.attach_profile(profile)
-        tracer.count("events", 3)
-        tracer.count("events")
-        assert profile.counter("events") == 4
+    @pytest.mark.parametrize(
+        "name", ["ace_build.phase1", "ace_query.stab", "serve.step"]
+    )
+    def test_process_tracer_off_returns_shared_noop(self, name):
+        """Phase-level and hot-loop spans alike cost one call + branch."""
+        assert not TRACER.enabled
+        assert TRACER.span(name) is NOOP_SPAN
 
 
 class TestLiveSpans:
@@ -139,6 +111,36 @@ class TestLiveSpans:
         assert recorder.spans[0].end_wall >= recorder.spans[0].start_wall
 
 
+class TestNestedRecorders:
+    def test_inner_recorder_keeps_the_enclosing_trace(self):
+        """A recorder installed while tracing is on neither resets the span
+        stack nor re-arms or disarms the cost accountant."""
+        disk = SimulatedDisk(page_size=2048, cost=CostModel.scaled(2048))
+        first = disk.allocate(2)
+        for offset in range(2):
+            disk.write_page(first + offset, b"n" * 2048)
+        outer_recorder = TraceRecorder(metrics=MetricsRegistry())
+        inner_recorder = TraceRecorder(metrics=MetricsRegistry())
+        with outer_recorder:
+            with TRACER.span("outer", disk=disk) as outer:
+                disk.read_page(first)
+                with inner_recorder:
+                    with TRACER.span("inner") as inner:
+                        disk.read_page(first + 1)
+                assert COST.enabled
+            assert COST.enabled
+        assert not COST.enabled
+        assert not TRACER.enabled
+        assert [s.name for s in outer_recorder.spans] == ["inner", "outer"]
+        assert [s.name for s in inner_recorder.spans] == ["inner"]
+        assert inner.parent_id == outer.span_id
+        assert inner.page_reads == 1
+        assert outer.page_reads == 2
+        conservation = COST.conservation()
+        assert conservation["conserved"]
+        assert conservation["attributed_reads"] == 2
+
+
 def _build_traced(seed: int = 3):
     """One small deterministic build + query, traced; returns everything."""
     disk = SimulatedDisk(page_size=2048, cost=CostModel.scaled(2048))
@@ -146,8 +148,6 @@ def _build_traced(seed: int = 3):
     heap = HeapFile.bulk_load(
         disk, schema, make_kv_records(3000, seed=23), name="traced"
     )
-    from repro.obs import MetricsRegistry
-
     recorder = TraceRecorder(metrics=MetricsRegistry())
     query = Box.of(Interval(0.0, 250_000.0))
     with recorder:
