@@ -18,6 +18,8 @@ Construction has two phases, each an external sort:
   then sorts by (leaf, section).  The decoration is pipelined into the
   sort's run generation and the leaf nodes are built directly from the
   final merge, so the phase is two read/write passes, as in the paper.
+  The merged rows stay packed: each leaf's payload is its rows' record
+  bytes, taken in merge order.
 
 The arity parameter generalizes the paper's binary tree to the k-ary
 variant discussed (and argued against) in Section III.D; for ``arity > 2``
@@ -30,14 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from ..core.errors import IndexBuildError
 from ..core.intervals import Box
 from ..core.records import Field as SchemaField
-from ..core.records import Record, Schema
+from ..core.records import PageView, Record, Schema
 from ..core.rng import derive_random
 from ..obs.tracer import TRACER
 from ..storage.disk import DiskStats
@@ -164,7 +166,7 @@ def build_ace_tree(source: HeapFile, params: AceBuildParams) -> AceTree:
     # ---- Phase 2: random section / leaf assignment + reorganization ----
     num_leaves = geometry.num_leaves
     cell_counts = [0] * num_leaves  # tallied by per-record decorate
-    cell_hist = np.zeros(num_leaves, dtype=np.int64)  # tallied by decorate_view
+    located: list[np.ndarray] = []  # cells located by decorate_view
     assign_rng = derive_random(params.seed, "ace-assign")
     getrandbits = assign_rng.getrandbits
     if dims == 1:
@@ -211,6 +213,12 @@ def build_ace_tree(source: HeapFile, params: AceBuildParams) -> AceTree:
         ]
         + list(source.schema.fields)
     )
+    # A decorated row: the two packed i8 prefixes, then the original
+    # packed record.
+    record_size = source.schema.record_size
+    dec_dtype = np.dtype(
+        [("leaf", "<i8"), ("section", "<i8"), ("rest", f"V{record_size}")]
+    )
 
     # Sort key: (leaf, section) packed into one int.  Sections run 1..height
     # < height + 1, so ``leaf * (height + 1) + section`` orders identically
@@ -218,10 +226,9 @@ def build_ace_tree(source: HeapFile, params: AceBuildParams) -> AceTree:
     section_span = height + 1
 
     # Page-batched decorate for the sort's fast path: leaf cells located
-    # for a whole page at once, rows moved as bytes (a decorated row is the
-    # two packed i8 prefixes followed by the original packed record).  The
-    # per-record RNG loop is kept verbatim so the random stream — and every
-    # figure — is unchanged.
+    # for a whole page at once, rows moved as bytes.  The per-record RNG
+    # loop is kept verbatim so the random stream — and every figure — is
+    # unchanged.
     decorate_view = None
     if dims == 1:
         key_kind = source.schema.fields[key_index].kind
@@ -229,19 +236,15 @@ def build_ace_tree(source: HeapFile, params: AceBuildParams) -> AceTree:
         if array_locate is not None:
             src_dtype = source.schema.numpy_dtype()
             key_name = params.key_fields[0]
-            rest_dtype = np.dtype(f"V{source.schema.record_size}")
-            dec_dtype = np.dtype(
-                [("leaf", "<i8"), ("section", "<i8"), ("rest", rest_dtype)]
-            )
+            rest_dtype = dec_dtype["rest"]
 
             def decorate_view(view):
-                nonlocal cell_hist
                 count = view.count
                 keys_col = np.frombuffer(
                     view.payload, dtype=src_dtype, count=count
                 )[key_name]
                 cells = array_locate(keys_col)
-                cell_hist += np.bincount(cells, minlength=num_leaves)
+                located.append(cells)
                 leafs: list[int] = []
                 sections: list[int] = []
                 add_leaf = leafs.append
@@ -269,21 +272,43 @@ def build_ace_tree(source: HeapFile, params: AceBuildParams) -> AceTree:
                 )
                 return dec.tobytes(), dec["leaf"] * section_span + dec["section"]
 
-    def build_leaves(stream: Iterator[Record]) -> LeafStore:
+    def build_leaves(blocks: Iterator[list[Record] | PageView]) -> LeafStore:
+        """Write every leaf from the merged rows, which arrive sorted by
+        (leaf, section): a leaf's rows are consecutive and already in
+        section order, so its payload is their record bytes as they come
+        and its section counts a tally of their section column.
+
+        A leaf is written when the first row of the next leaf arrives, or
+        at the end, as a record-at-a-time sink would write it: blocks end
+        at the merge's page reads, so the leaf still in progress at a
+        block's end waits for the next block (after the read).  List
+        blocks are packed once on entry.
+        """
         writer = LeafStoreWriter(disk, source.schema, height, num_leaves)
         append_leaf = writer.append_leaf
         current = -1
-        sections: list[list[Record]] = []
-        for decorated in stream:
-            leaf = decorated[0]
-            if leaf != current:
-                if current >= 0:
-                    append_leaf(current, sections)
-                current = leaf
-                sections = [[] for _ in range(height)]
-            sections[decorated[1] - 1].append(decorated[2:])
+        counts: list[int] = []
+        parts: list = []
+        for block in blocks:
+            if isinstance(block, PageView):
+                payload = block.payload
+            else:
+                payload = decorated_schema.pack_many(block)
+            rows = np.frombuffer(payload, dtype=dec_dtype, count=len(block))
+            rest = memoryview(rows["rest"].tobytes())
+            start = 0
+            for i, (leaf, section) in enumerate(
+                zip(rows["leaf"].tolist(), rows["section"].tolist())
+            ):
+                if leaf != current:
+                    parts.append(rest[start * record_size:i * record_size])
+                    if current >= 0:
+                        append_leaf(current, counts, b"".join(parts))
+                    current, counts, parts, start = leaf, [0] * height, [], i
+                counts[section - 1] += 1
+            parts.append(rest[start * record_size:])
         if current >= 0:
-            append_leaf(current, sections)
+            append_leaf(current, counts, b"".join(parts))
         return writer.finish()
 
     with TRACER.span(
@@ -300,6 +325,10 @@ def build_ace_tree(source: HeapFile, params: AceBuildParams) -> AceTree:
             output_schema=decorated_schema,
             view_transform=decorate_view,
         )
+    cell_hist = np.bincount(
+        np.concatenate(located) if located else np.zeros(0, dtype=np.intp),
+        minlength=num_leaves,
+    )
     geometry.attach_counts(
         [c + int(h) for c, h in zip(cell_counts, cell_hist)]
     )
@@ -448,12 +477,3 @@ def _splits_in_memory(
         partitions = next_partitions
     return domain, splits
 
-
-def sections_of(
-    leaf_records: Sequence[Record], height: int
-) -> list[list[Record]]:  # pragma: no cover - helper for tests
-    """Split decorated records of one leaf into per-section lists."""
-    sections: list[list[Record]] = [[] for _ in range(height)]
-    for record in leaf_records:
-        sections[record[1] - 1].append(record[2:])
-    return sections

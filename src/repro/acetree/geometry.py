@@ -294,49 +294,58 @@ class TreeGeometry:
     def array_leaf_locator(self, key_kind: str):
         """A vectorized ``key array -> leaf cell array`` callable, or None.
 
-        Only the binary 1-D tree qualifies.  ``key_kind`` names the column
-        kind of the keys the caller will pass (``"f8"`` for float64 arrays,
-        ``"i8"`` for int64): float keys compare against the stored float
-        boundaries directly, while int keys compare against exact integer
-        thresholds (``x >= b`` is ``x >= ceil(b)`` for every integer
-        ``x``), because Python's int-vs-float ``>=`` is exact where
-        numpy's would round the int to float64.  Each level then costs one
-        gather and one compare over the whole key array instead of a
-        per-record descent; results match :meth:`locate_leaf` element for
-        element, or None is returned and callers must descend per record.
+        Only the binary 1-D tree qualifies, and only while its split keys
+        read in order (the in-order walk of the tree) are non-decreasing,
+        as Phase 1's rank-picked medians always are.  The descent then
+        goes right at a node exactly when the key is at least its split,
+        so every split passed on the left is ``<=`` the key and every one
+        on the right is greater: the leaf cell is the number of in-order
+        splits ``<=`` the key, one ``searchsorted(side="right")``.
+        ``key_kind`` names the column kind of the keys the caller will
+        pass (``"f8"`` for float64 arrays, ``"i8"`` for int64): float keys
+        are searched among the stored float splits, and NaN keys, which
+        fail every comparison of the descent, go to cell 0; int keys are
+        searched among exact integer thresholds (``x >= b`` is
+        ``x >= ceil(b)`` for every integer ``x``), because Python's
+        int-vs-float ``>=`` is exact where numpy's would round the int to
+        float64.  Results match :meth:`locate_leaf` element for element,
+        or None is returned and callers must descend per record.
         """
         if self.dims != 1 or self.arity != 2:
             return None
-        levels = []
-        for level in self._splits:
-            vals = [node[0] for node in level]
-            if key_kind == "f8":
-                levels.append(np.array(vals, dtype=np.float64))
-            elif key_kind == "i8":
-                thresholds = []
-                for b in vals:
-                    if not math.isfinite(b):
-                        if b < 0:  # -inf boundary: every int key is >= it
-                            thresholds.append(-2**63)
-                            continue
-                        return None  # +inf / nan: no int threshold
-                    t = math.ceil(b)
-                    if not -2**63 <= t < 2**63:
-                        return None
-                    thresholds.append(t)
-                levels.append(np.array(thresholds, dtype=np.int64))
-            else:
+        splits = np.empty(self.num_leaves - 1, dtype=np.float64)
+        for level, level_splits in enumerate(self._splits, start=1):
+            # Node j of `level` is the in-order key (2j+1) * 2^(h-1-level) - 1.
+            step = 2 ** (self.height - level)
+            splits[step // 2 - 1::step] = [node[0] for node in level_splits]
+        if not (splits[1:] >= splits[:-1]).all():
+            return None
+        if key_kind == "f8":
+            def locate(keys, _splits=splits):
+                cells = np.searchsorted(_splits, keys, side="right")
+                nan = np.isnan(keys)
+                if nan.any():
+                    cells[nan] = 0
+                return cells
+
+            return locate
+        if key_kind != "i8":
+            return None
+        thresholds = []
+        for b in splits.tolist():
+            if not math.isfinite(b):
+                if b < 0:  # -inf boundary: every int key is >= it
+                    thresholds.append(-2**63)
+                    continue
+                return None  # +inf: no int threshold
+            t = math.ceil(b)
+            if not -2**63 <= t < 2**63:
                 return None
-
-        def locate(keys, _levels=levels):
-            index = np.zeros(len(keys), dtype=np.intp)
-            for level_bounds in _levels:
-                bounds = level_bounds[index]
-                index += index
-                index += keys >= bounds
-            return index
-
-        return locate
+            thresholds.append(t)
+        bounds = np.array(thresholds, dtype=np.int64)
+        return lambda keys, _bounds=bounds: np.searchsorted(
+            _bounds, keys, side="right"
+        )
 
     def overlapping_nodes(self, level: int, query: Box) -> list[int]:
         """Indexes of level-``level`` nodes whose boxes overlap the query.

@@ -25,7 +25,7 @@ from typing import Iterator
 import itertools
 
 from ..core.errors import SerializationError, StorageError
-from ..core.records import Record, Schema
+from ..core.records import Schema
 from ..obs.tracer import TRACER
 from ..storage.buffer import DecodeMemo
 from ..storage.disk import SimulatedDisk
@@ -39,7 +39,6 @@ __all__ = ["LeafStore", "LeafStoreWriter"]
 _CACHE_TOKENS = itertools.count(1)  # repro: shared[owner=serve.scheduler] token source; stores are only created during build/setup, inside the owner's quanta under serve
 
 _LEAF_HEADER = struct.Struct("<IH")  # leaf index, section count
-_SECTION_COUNT = struct.Struct("<I")
 _DIR_ENTRY = struct.Struct("<Q")
 
 #: Pages per allocation extent while streaming leaves out.
@@ -51,13 +50,9 @@ _EXTENT_PAGES = 256
 _LEAF_MEMO_LEAVES = 4096
 
 
-def _serialize_leaf(schema: Schema, leaf_index: int, sections: list[list[Record]]) -> bytes:
-    parts = [_LEAF_HEADER.pack(leaf_index, len(sections))]
-    for section in sections:
-        parts.append(_SECTION_COUNT.pack(len(section)))
-    for section in sections:
-        parts.append(schema.pack_many(section))
-    return b"".join(parts)
+def _section_counts(height: int) -> struct.Struct:
+    """The record counts after a leaf's header: one uint32 per section."""
+    return struct.Struct(f"<{height}I")
 
 
 class LeafStoreWriter:
@@ -65,7 +60,9 @@ class LeafStoreWriter:
 
     Used by construction Phase 2: leaves must be appended in increasing
     leaf-index order; missing indexes become empty leaves (possible in tiny
-    or skewed relations).
+    or skewed relations).  A serialized leaf is its header (index, section
+    count), one record count per section, then the sections' packed
+    records back to back.
     """
 
     def __init__(
@@ -82,26 +79,39 @@ class LeafStoreWriter:
         self._extent_used = 0
         self._next_leaf = 0
         self._finished = False
+        self._counts = _section_counts(height)
 
-    def append_leaf(self, leaf_index: int, sections: list[list[Record]]) -> None:
-        """Serialize and append one leaf; fills skipped indexes with empties."""
+    def append_leaf(self, leaf_index: int, counts, payload) -> None:
+        """Append one leaf given as per-section record counts and the
+        sections' packed records, back to back in section order; fills
+        skipped indexes with empty leaves."""
         if self._finished:
             raise StorageError("leaf store writer already finished")
         if leaf_index < self._next_leaf or leaf_index >= self.num_leaves:
             raise StorageError(
                 f"leaf {leaf_index} out of order (next expected {self._next_leaf})"
             )
-        if len(sections) != self.height:
+        if len(counts) != self.height:
             raise SerializationError(
-                f"leaf {leaf_index} has {len(sections)} sections, need {self.height}"
+                f"leaf {leaf_index} has {len(counts)} sections, need {self.height}"
+            )
+        records = sum(counts)
+        if len(payload) != records * self.schema.record_size:
+            raise SerializationError(
+                f"leaf {leaf_index}: payload of {len(payload)} bytes is not "
+                f"{records} x {self.schema.record_size}-byte records"
             )
         while self._next_leaf < leaf_index:
-            self._append_serialized(
-                _serialize_leaf(self.schema, self._next_leaf, [[]] * self.height)
-            )
+            self._append_serialized(self._empty_leaf(self._next_leaf))
             self._next_leaf += 1
-        self._append_serialized(_serialize_leaf(self.schema, leaf_index, sections))
-        self.disk.charge_records(sum(len(s) for s in sections))
+        self._append_serialized(
+            b"".join((
+                _LEAF_HEADER.pack(leaf_index, self.height),
+                self._counts.pack(*counts),
+                payload,
+            ))
+        )
+        self.disk.charge_records(records)
         self._next_leaf += 1
 
     def finish(self) -> "LeafStore":
@@ -109,9 +119,7 @@ class LeafStoreWriter:
         if self._finished:
             raise StorageError("leaf store writer already finished")
         while self._next_leaf < self.num_leaves:
-            self._append_serialized(
-                _serialize_leaf(self.schema, self._next_leaf, [[]] * self.height)
-            )
+            self._append_serialized(self._empty_leaf(self._next_leaf))
             self._next_leaf += 1
         self._flush_full_pages(final=True)
 
@@ -134,6 +142,9 @@ class LeafStoreWriter:
         )
 
     # -- internals ---------------------------------------------------------
+
+    def _empty_leaf(self, leaf_index: int) -> bytes:
+        return _LEAF_HEADER.pack(leaf_index, self.height) + bytes(self._counts.size)
 
     def _append_serialized(self, blob: bytes) -> None:
         self._buffer.extend(blob)
@@ -184,6 +195,7 @@ class LeafStore:
         self._dir_page_ids = dir_page_ids
         self._offsets = offsets
         self._extents = extents
+        self._counts = _section_counts(height)
         self._memo = DecodeMemo(_LEAF_MEMO_LEAVES)
         #: Data pages requested by :meth:`read_leaf_view`, memo hits
         #: included; ``check_sample`` balances it against the disk's reads.
@@ -294,15 +306,11 @@ class LeafStore:
                 f"corrupt leaf header: index {index} (expected {expected_index}), "
                 f"sections {count} (expected {self.height})"
             )
-        pos = _LEAF_HEADER.size
-        counts = []
         try:
-            for _ in range(count):
-                (n,) = _SECTION_COUNT.unpack_from(blob, pos)
-                counts.append(n)
-                pos += _SECTION_COUNT.size
+            counts = self._counts.unpack_from(blob, _LEAF_HEADER.size)
         except struct.error as exc:
             raise SerializationError(f"corrupt leaf {expected_index}: {exc}") from exc
+        pos = _LEAF_HEADER.size + self._counts.size
         total = sum(counts)
         need = total * self.schema.record_size
         if len(blob) - pos < need:
@@ -315,7 +323,7 @@ class LeafStore:
             index=expected_index,
             schema=self.schema,
             payload=memoryview(blob)[pos:pos + need],
-            counts=tuple(counts),
+            counts=counts,
             byte_size=len(blob),
         )
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from ..core.errors import IndexBuildError, QueryError
 from ..core.intervals import Box
@@ -73,11 +74,11 @@ def build_bplus_tree(
     key_of = source.schema.key_getter(key_field)
     leaf_stats: list[tuple[float, int]] = []  # (first key, record count) per page
 
-    def load_leaves(stream) -> HeapFile:
+    def load_leaves(blocks: Iterator[Iterable[Record]]) -> HeapFile:
         heap = HeapFile.create(disk, source.schema, name=f"{name}.leaves")
         per_page = heap.records_per_page
         page: list[Record] = []
-        for record in stream:
+        for record in chain.from_iterable(blocks):
             page.append(record)
             if len(page) == per_page:
                 leaf_stats.append((float(key_of(page[0])), len(page)))

@@ -15,8 +15,9 @@ query's selectivity.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..core.errors import QueryError
 from ..core.intervals import Box
@@ -54,9 +55,10 @@ def build_permuted_file(
     def decorate(record: Record) -> Record:
         return (shuffle_rng.getrandbits(62),) + record
 
-    def strip(stream: Iterator[Record]) -> HeapFile:
+    def strip(blocks: Iterator[Iterable[Record]]) -> HeapFile:
+        records = chain.from_iterable(blocks)
         return HeapFile.bulk_load(
-            source.disk, source.schema, (rec[1:] for rec in stream), name=name
+            source.disk, source.schema, (rec[1:] for rec in records), name=name
         )
 
     permuted = external_sort_to_sink(

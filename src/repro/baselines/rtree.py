@@ -20,7 +20,8 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from ..core.errors import IndexBuildError, QueryError
 from ..core.intervals import Box, Interval
@@ -103,7 +104,7 @@ def build_rtree(
 
     leaf_meta: list[tuple[Box, int]] = []  # (MBR, record count) per page
 
-    def load_leaves(stream: Iterator[Record]) -> HeapFile:
+    def load_leaves(blocks: Iterator[Iterable[Record]]) -> HeapFile:
         heap = HeapFile.create(disk, source.schema, name=f"{name}.leaves")
         page: list[Record] = []
 
@@ -112,7 +113,7 @@ def build_rtree(
             leaf_meta.append((Box.bounding(points), len(page)))
             heap.extend(page)
 
-        for decorated in stream:
+        for decorated in chain.from_iterable(blocks):
             page.append(decorated[1:])
             if len(page) == per_page:
                 flush_page()

@@ -16,7 +16,11 @@ Two pipelining hooks keep pass counts equal to a real system's:
 * ``transform`` rewrites records during run generation (the ACE Tree's
   Phase 2 uses it to attach leaf/section numbers without an extra pass);
 * ``sink`` consumes the final merged stream instead of writing it to a heap
-  file (Phase 2 uses it to build leaf nodes directly from the merge).
+  file (Phase 2 uses it to build leaf nodes directly from the merge).  The
+  stream arrives in *blocks*: each block holds the consecutive merged
+  records between two run-page reads, so a sink that finishes a block
+  before pulling the next one performs its own writes and charges in the
+  order a record-at-a-time consumer would.
 
 Wall-clock fast path — the *planned merge*.  Run generation keeps each
 run's sorted keys (and, when no ``transform`` rewrites records, the packed
@@ -56,9 +60,9 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from ..core.errors import SortError
-from ..core.records import Record, Schema
+from ..core.records import PageView, Record, Schema
 from ..obs.tracer import TRACER
-from .heapfile import PAGE_HEADER_SIZE, HeapFile, _packed_page_images
+from .heapfile import PAGE_HEADER_SIZE, HeapFile
 from .recovery import read_page_resilient
 
 __all__ = ["external_sort", "external_sort_to_sink", "merge_runs"]
@@ -191,7 +195,7 @@ def external_sort(
 def external_sort_to_sink(
     source: HeapFile,
     key: KeyFunc,
-    sink: Callable[[Iterator[Record]], T],
+    sink: Callable[[Iterator[list[Record] | PageView]], T],
     memory_pages: int = 64,
     free_source: bool = False,
     transform: Callable[[Record], Record] | None = None,
@@ -203,7 +207,13 @@ def external_sort_to_sink(
 
     The final merge is pipelined into ``sink`` instead of being written back
     to disk, mirroring how a real bulk loader consumes its last merge pass.
-    Returns whatever ``sink`` returns.  The intermediate runs are freed.
+    ``sink`` receives an iterator of blocks of consecutive merged records:
+    every run-page read of the merge happens while the sink pulls the next
+    block, so each block is the records between two reads (one page per
+    block when there is a single run).  A block from packed runs is a
+    :class:`PageView` over the merged rows, decoded only if the sink
+    iterates it; a merge of decoded records yields lists.  Returns
+    whatever ``sink`` returns.  The intermediate runs are freed.
     """
     with TRACER.span("external_sort.total", disk=source.disk):
         runs, schema = _generate_runs(
@@ -218,27 +228,22 @@ def external_sort_to_sink(
         if not runs:
             return sink(iter(()))
         if len(runs) == 1:
-            stream: Iterator[Record] = runs[0].scan()
+            blocks: Iterator[list[Record] | PageView] = runs[0].scan_page_views()
         else:
             total = sum(run.num_records for run in runs)
             source.disk.charge_records(int(total * math.log2(len(runs))))
             metas = [getattr(run, "_sort_meta", None) for run in runs]
             if all(meta is not None for meta in metas):
-                stream = _planned_merge_stream(runs, metas, schema)
+                blocks = _planned_merge_blocks(runs, metas, schema)
             else:
-                stream = map(
-                    _undecorate,
-                    heapq.merge(
-                        *(_decorated_scan(run, key, i) for i, run in enumerate(runs))
-                    ),
-                )
+                blocks = _streaming_blocks(runs, key)
         try:
             # The final merge is lazy: its run-page reads happen while the
-            # sink pulls the stream, so the span must enclose the sink.
+            # sink pulls blocks, so the span must enclose the sink.
             with TRACER.span(
                 "external_sort.final_merge", disk=source.disk, runs=len(runs)
             ):
-                return sink(stream)
+                return sink(blocks)
         finally:
             for run in runs:
                 run.free()
@@ -447,7 +452,7 @@ def _write_run_raw(
             order = np.asarray(order_list, dtype=np.intp)
         rows = np.frombuffer(payload, dtype=np.uint8).reshape(n, size)
         sorted_rows = rows[order]
-        run = HeapFile.bulk_load_packed(disk, schema, sorted_rows, n, name=name)
+        run = HeapFile.bulk_load_packed(disk, schema, [sorted_rows], name=name)
     if retain:
         run._sort_meta = _RunMeta(sorted_keys, sorted_rows, None)
     return run
@@ -714,15 +719,12 @@ def _planned_merge_to_file(
     disk = runs[0].disk
     morder, run_per_position, allkeys = _merge_order(metas)
     total = len(morder)
+    size = schema.record_size
     records: list[Record] | None = None
     rows: np.ndarray | None = None
-    images = None
     if metas[0].rows is not None:
         rows = np.concatenate([meta.rows for meta in metas])[morder]
-        images, _page_counts = _packed_page_images(
-            memoryview(rows).cast("B"), total, runs[0].records_per_page,
-            schema.record_size, disk.page_size,
-        )
+        flat = memoryview(rows).cast("B")
     else:
         pooled: list[Record] = []
         for meta in metas:
@@ -735,7 +737,7 @@ def _planned_merge_to_file(
         read_page_resilient(disk, pid)
         disk.charge_records(count)
     e, num_events = 0, len(events)
-    for page_no, lo in enumerate(range(0, total, per_page)):
+    for lo in range(0, total, per_page):
         hi = min(lo + per_page, total)
         # Run-page reads triggered by pulls lo..hi-1 precede this write.
         while e < num_events and events[e][0] < hi:
@@ -743,12 +745,8 @@ def _planned_merge_to_file(
             read_page_resilient(disk, pid)
             disk.charge_records(count)
             e += 1
-        if images is not None:
-            pid = result._next_page_id()
-            disk.write_page(pid, images[page_no].tobytes())
-            disk.charge_records(hi - lo)
-            result._page_ids.append(pid)
-            result._num_records += hi - lo
+        if rows is not None:
+            result._write_packed_page(flat[lo * size:hi * size], hi - lo)
         else:
             result._write_full_page(records[lo:hi])
     for run in runs:
@@ -762,11 +760,13 @@ def _planned_merge_to_file(
     return result
 
 
-def _planned_merge_stream(
+def _planned_merge_blocks(
     runs: list[HeapFile], metas: list[_RunMeta], schema: Schema
-) -> Iterator[Record]:
-    """Merged record stream from retained runs, replaying the streaming
-    merge's page reads at the exact pulls they would occur on."""
+) -> Iterator[list[Record] | PageView]:
+    """Merged blocks from retained runs: the records between two of the
+    streaming merge's page reads, with each read replayed between the
+    blocks it separates.  Packed runs give :class:`PageView` blocks over
+    the merged rows (nothing is decoded); retained records give lists."""
     disk = runs[0].disk
     morder, run_per_position, _allkeys = _merge_order(metas)
     total = len(morder)
@@ -775,24 +775,55 @@ def _planned_merge_stream(
         for meta in metas:
             pooled.extend(meta.records)
         items = [pooled[i] for i in morder.tolist()]
+
+        def block(lo: int, hi: int) -> list[Record] | PageView:
+            return items[lo:hi]
     else:
         rows = np.concatenate([meta.rows for meta in metas])[morder]
-        items = schema.unpack_many(memoryview(rows).cast("B"), total)
+        flat = memoryview(rows).cast("B")
+        size = schema.record_size
+
+        def block(lo: int, hi: int) -> list[Record] | PageView:
+            return PageView(schema, flat[lo * size:hi * size], hi - lo)
     events = _read_schedule(runs, run_per_position)
     initial = _initial_reads(runs)
 
-    def stream() -> Iterator[Record]:
+    def blocks() -> Iterator[list[Record] | PageView]:
         charge = disk.charge_records
         for pid, count in initial:
             read_page_resilient(disk, pid)
             charge(count)
         prev = 0
         for pull, pid, count in events:
-            yield from items[prev:pull]
+            yield block(prev, pull)
             # The pull of record `pull` advances the drained stream first.
             read_page_resilient(disk, pid)
             charge(count)
             prev = pull
-        yield from items[prev:]
+        yield block(prev, total)
 
-    return stream()
+    return blocks()
+
+
+def _streaming_blocks(runs: list[HeapFile], key: KeyFunc) -> Iterator[list[Record]]:
+    """Merged blocks from ``heapq.merge`` over the on-disk runs.
+
+    ``heapq.merge`` advances the run that yielded the previous record on
+    the next pull, so run ``r``'s next page is read on the pull after its
+    page-final record; a block ends with every such record.
+    """
+    per_page = runs[0].records_per_page
+    sizes = [run.num_records for run in runs]
+    taken = [0] * len(runs)
+    block: list[Record] = []
+    merged = heapq.merge(
+        *(_decorated_scan(run, key, i) for i, run in enumerate(runs))
+    )
+    for _key, r, record in merged:
+        block.append(record)
+        taken[r] += 1
+        if taken[r] % per_page == 0 and taken[r] < sizes[r]:
+            yield block
+            block = []
+    if block:
+        yield block

@@ -21,8 +21,6 @@ import struct
 from itertools import islice
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from ..core.errors import HeapFileError
 from ..core.records import PageView, Record, Schema
 from .disk import SimulatedDisk
@@ -39,40 +37,6 @@ PAGE_HEADER_SIZE = _COUNT_HEADER.size
 
 #: Pages per allocation extent when the final size is unknown.
 _EXTENT_PAGES = 256
-
-
-def _packed_page_images(
-    payload, count: int, per_page: int, record_size: int, page_size: int
-) -> tuple[np.ndarray, list[int]]:
-    """Assemble full page images (header + packed records) in one shot.
-
-    Returns ``(images, counts)``: a ``(num_pages, page_size)`` uint8 array
-    whose rows are byte-identical to the pages the record-at-a-time writer
-    produces (the disk zero-pads short writes to the page size, so
-    pre-padded images store the exact same bytes), and the record count of
-    each page.  Building every image with three bulk copies replaces the
-    per-page header packing and buffer slicing of the write loop.
-    """
-    num_pages = -(-count // per_page)
-    images = np.zeros((num_pages, page_size), dtype=np.uint8)
-    last = count - (num_pages - 1) * per_page
-    # Page header: record count as little-endian uint32.
-    for b in range(PAGE_HEADER_SIZE):
-        images[:, b] = (per_page >> (8 * b)) & 0xFF
-        images[-1, b] = (last >> (8 * b)) & 0xFF
-    rows = np.frombuffer(payload, dtype=np.uint8).reshape(count, record_size)
-    slots = num_pages * per_page
-    if slots == count:
-        block = rows
-    else:
-        block = np.zeros((slots, record_size), dtype=np.uint8)
-        block[:count] = rows
-    span = per_page * record_size
-    images[:, PAGE_HEADER_SIZE:PAGE_HEADER_SIZE + span] = block.reshape(
-        num_pages, span
-    )
-    counts = [per_page] * (num_pages - 1) + [last]
-    return images, counts
 
 
 class HeapFile:  # repro: shared[owner=serve.scheduler] append path is build-time; serve-time reads share it only inside scheduler quanta
@@ -127,37 +91,41 @@ class HeapFile:  # repro: shared[owner=serve.scheduler] append path is build-tim
         cls,
         disk: SimulatedDisk,
         schema: Schema,
-        payload,
-        count: int,
+        chunks: Iterable,
         name: str = "",
     ) -> "HeapFile":
-        """Create a heap file from ``count`` already-packed records.
+        """Create a heap file from chunks of already-packed records.
 
-        ``payload`` is any contiguous buffer of ``count * record_size``
-        packed records (bytes, memoryview, or a C-contiguous uint8 array).
-        Pages, charges and byte layout are identical to :meth:`bulk_load`
-        of the decoded records — the serializer round-trip is the identity
-        for every field kind — so the two constructions are interchangeable.
+        Each chunk is any contiguous buffer of packed records (bytes,
+        memoryview, or a C-contiguous uint8 array); a record may straddle
+        two chunks, but the chunks together must end on a record boundary.
+        Pages are written as soon as they fill, before the next chunk is
+        pulled, so a lazy ``chunks`` iterator interleaves its own reads
+        with the page writes exactly as :meth:`bulk_load` interleaves the
+        production of its records.  Pages, charges and byte layout are
+        identical to :meth:`bulk_load` of the decoded records — the
+        serializer round-trip is the identity for every field kind — so
+        the two constructions are interchangeable.
         """
         heap = cls(disk, schema, name)
         per_page = heap.records_per_page
         size = schema.record_size
-        view = memoryview(payload).cast("B")
-        if len(view) != count * size:
+        page_bytes = per_page * size
+        pending = bytearray()
+        for chunk in chunks:
+            pending += memoryview(chunk).cast("B")
+            full = len(pending) - len(pending) % page_bytes
+            for lo in range(0, full, page_bytes):
+                heap._write_packed_page(pending[lo:lo + page_bytes], per_page)
+            del pending[:full]
+        if len(pending) % size:
+            heap.free()
             raise HeapFileError(
-                f"payload of {len(view)} bytes is not {count} x {size}-byte records"
+                f"packed chunks end {len(pending) % size} bytes into a "
+                f"{size}-byte record"
             )
-        if count == 0:
-            return heap
-        images, counts = _packed_page_images(
-            view, count, per_page, size, disk.page_size
-        )
-        for i, page_count in enumerate(counts):
-            pid = heap._next_page_id()
-            disk.write_page(pid, images[i].tobytes())
-            disk.charge_records(page_count)
-            heap._page_ids.append(pid)
-        heap._num_records = count
+        if pending:
+            heap._write_packed_page(pending, len(pending) // size)
         return heap
 
     # -- geometry ----------------------------------------------------------
@@ -238,6 +206,14 @@ class HeapFile:  # repro: shared[owner=serve.scheduler] append path is build-tim
         self.disk.charge_records(len(page_records))
         self._page_ids.append(pid)
         self._num_records += len(page_records)
+
+    def _write_packed_page(self, payload, count: int) -> None:
+        """Write one page holding ``count`` records packed in ``payload``."""
+        pid = self._next_page_id()
+        self.disk.write_page(pid, b"".join((_COUNT_HEADER.pack(count), payload)))
+        self.disk.charge_records(count)
+        self._page_ids.append(pid)
+        self._num_records += count
 
     def _next_page_id(self) -> int:
         if not self._extents or self._extent_used == self._extents[-1][1]:

@@ -13,6 +13,7 @@ stream remains a uniform sample of the updated view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from ..acetree import AceBuildParams, AceTree, build_ace_tree
@@ -43,16 +44,21 @@ def create_sample_view(
         seed=seed,
     )
     tree = build_ace_tree(source, params)
-    return MaterializedSampleView(name=name, tree=tree, seed=seed)
+    return MaterializedSampleView(name=name, tree=tree, seed=seed, height=height)
 
 
 @dataclass
 class MaterializedSampleView:
-    """An ACE-Tree-backed sample view with a differential update path."""
+    """An ACE-Tree-backed sample view with a differential update path.
+
+    ``height`` is the tree height every :meth:`refresh` rebuilds with;
+    ``None`` re-chooses it for the refreshed record count.
+    """
 
     name: str
     tree: AceTree
     seed: int = 0
+    height: int | None = None
 
     def __post_init__(self) -> None:
         self._delta: list[Record] = []
@@ -90,35 +96,41 @@ class MaterializedSampleView:
 
     def refresh(self, memory_pages: int = 64) -> None:
         """Rebuild the ACE Tree over base + delta (the paper's fallback for
-        bulk updates: reorganize from scratch with two external sorts)."""
+        bulk updates: reorganize from scratch with two external sorts).
+
+        The base records are reloaded as the leaves' packed payloads, in
+        leaf order, followed by the packed delta; each page of the merged
+        heap is written as soon as it fills, so leaf reads and page writes
+        interleave as a record-at-a-time load would interleave them.  The
+        rebuilt tree keeps the view's height and the tree's arity.
+        """
         if not self._delta:
             return
-        disk = self.tree.disk
-        merged = HeapFile.bulk_load(
-            disk,
-            self.tree.schema,
-            self._all_records(),
-            name=f"{self.name}.refresh",
+        tree = self.tree
+        store = tree.leaf_store
+        chunks = chain(
+            (store.read_leaf_view(i).page.payload for i in range(store.num_leaves)),
+            (tree.schema.pack_many(self._delta),),
+        )
+        merged = HeapFile.bulk_load_packed(
+            tree.disk, tree.schema, chunks, name=f"{self.name}.refresh"
         )
         try:
             new_tree = build_ace_tree(
                 merged,
                 AceBuildParams(
                     key_fields=self.key_fields,
-                    height=None,
+                    height=self.height,
                     memory_pages=memory_pages,
                     seed=self.seed + 1,
+                    arity=tree.geometry.arity,
                 ),
             )
         finally:
             merged.free()
-        old_tree, self.tree = self.tree, new_tree
-        old_tree.free()
+        self.tree = new_tree
+        tree.free()
         self._delta = []
-
-    def _all_records(self) -> Iterator[Record]:
-        yield from _scan_tree_records(self.tree)
-        yield from self._delta
 
     # -- sampling -----------------------------------------------------------------
 
@@ -189,9 +201,3 @@ class MaterializedSampleView:
         self.tree.free()
         self._delta = []
 
-
-def _scan_tree_records(tree: AceTree) -> Iterator[Record]:
-    """Every record stored in the tree, via a sequential leaf-store scan."""
-    for leaf in tree.leaf_store.iter_leaves():
-        for section in leaf.sections:
-            yield from section

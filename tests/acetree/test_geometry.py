@@ -1,5 +1,9 @@
 """Unit tests for the ACE Tree split-key geometry."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from repro.core import Box, Interval
@@ -142,6 +146,96 @@ class TestDescend:
             leaf = geom.locate_leaf((value,))
             for s in range(1, 5):
                 assert geom.descend((value,), s - 1) == geom.ancestor(leaf, s)
+
+
+def geometry_1d(splits, lo=-1e18, hi=1e18, arity=2):
+    return TreeGeometry(
+        domain=Box.of(Interval(lo, hi)), splits=splits, arity=arity
+    )
+
+
+def assert_locators_agree(geom, keys, kind):
+    """``array_leaf_locator`` matches ``scalar_leaf_locator`` key by key."""
+    locate = geom.array_leaf_locator(kind)
+    assert locate is not None
+    dtype = np.int64 if kind == "i8" else np.float64
+    got = locate(np.array(keys, dtype=dtype)).tolist()
+    scalar = geom.scalar_leaf_locator()
+    assert got == [scalar(key) for key in keys]
+
+
+def inorder_splits(level_values, height):
+    """Per-level split lists whose in-order walk is ``level_values``."""
+    return [
+        level_values[2 ** (height - level - 1) - 1::2 ** (height - level)]
+        for level in range(1, height)
+    ]
+
+
+class TestArrayLeafLocator:
+    def test_paper_tree(self):
+        geom = paper_geometry()
+        keys = list(range(-5, 106)) + [12, 25, 37, 50, 62, 75, 88]
+        assert_locators_agree(geom, keys, "i8")
+        assert_locators_agree(geom, [k + 0.5 for k in keys] + keys, "f8")
+
+    def test_duplicate_split_keys(self):
+        geom = geometry_1d([[5.0], [5.0, 5.0], [2.0, 5.0, 5.0, 9.0]])
+        keys = [-1, 1, 2, 3, 4, 5, 6, 8, 9, 10]
+        assert_locators_agree(geom, keys, "i8")
+        assert_locators_agree(geom, [4.999, 5.0, 5.001] + keys, "f8")
+
+    def test_half_integer_splits_with_int_keys(self):
+        geom = geometry_1d([[2.5], [1.5, 3.5], [0.5, 2.0, 3.0, 4.5]])
+        assert_locators_agree(geom, list(range(-2, 8)), "i8")
+        # float64(2**53 + 3) rounds up to the split; the int key is below it.
+        big = geometry_1d([[float(2**53 + 4)]], hi=1e19)
+        assert_locators_agree(big, [2**53 + 3, 2**53 + 4, 2**53 + 5], "i8")
+
+    def test_minus_inf_splits(self):
+        geom = geometry_1d([[-math.inf], [-math.inf, 10.0]], lo=-math.inf)
+        assert_locators_agree(geom, [-2**63, -1, 0, 9, 10, 2**63 - 1], "i8")
+        assert_locators_agree(
+            geom, [-math.inf, -1e308, 0.0, 10.0, math.inf, math.nan], "f8"
+        )
+
+    def test_nan_and_infinite_float_keys(self):
+        geom = paper_geometry()
+        keys = [math.nan, math.inf, -math.inf, 50.0, -0.0]
+        assert_locators_agree(geom, keys, "f8")
+        assert geom.array_leaf_locator("f8")(np.array([math.nan]))[0] == 0
+
+    def test_plus_inf_split(self):
+        geom = geometry_1d([[math.inf], [0.0, math.inf]], hi=math.inf)
+        assert_locators_agree(geom, [math.inf, 1e308, -1.0, 0.0, math.nan], "f8")
+        assert geom.array_leaf_locator("i8") is None  # no int threshold
+
+    def test_decreasing_inorder_splits_rejected(self):
+        # In-order walk: 7, 5, 9 — the descent and a search disagree.
+        geom = geometry_1d([[5.0], [7.0, 9.0]])
+        assert geom.array_leaf_locator("i8") is None
+        assert geom.array_leaf_locator("f8") is None
+
+    def test_only_binary_1d_and_numeric_kinds(self):
+        assert paper_geometry().array_leaf_locator("bytes") is None
+        kary = geometry_1d([[(3.0, 6.0)]], arity=3)
+        assert kary.array_leaf_locator("i8") is None
+
+    def test_random_geometries_agree_with_descent(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            height = rng.randint(2, 6)
+            values = [rng.randint(-6, 6) / 2 for _ in range(2 ** (height - 1) - 1)]
+            if rng.random() < 0.7:
+                values.sort()
+            geom = geometry_1d(inorder_splits(values, height))
+            int_keys = list(range(-8, 9))
+            float_keys = [k / 4 for k in range(-32, 33)] + [math.nan, math.inf]
+            if values == sorted(values):
+                assert_locators_agree(geom, int_keys, "i8")
+                assert_locators_agree(geom, float_keys, "f8")
+            else:
+                assert geom.array_leaf_locator("i8") is None
 
 
 class TestOverlappingNodes:

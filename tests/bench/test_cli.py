@@ -65,6 +65,10 @@ class TestBench:
         assert set(auto) == {"seconds", "split_keys_seconds", "sim_seconds",
                              "page_reads", "page_writes"}
         assert 0 < auto["split_keys_seconds"] < auto["seconds"]
+        refresh = results["view_refresh"]
+        assert set(refresh) == {"seconds", "sim_seconds", "page_reads",
+                                "page_writes"}
+        assert refresh["seconds"] > 0 and refresh["page_writes"] > 0
         overhead = results["span_overhead"]
         assert set(overhead) == {"spans_per_run", "noop_ns_per_span"}
         assert overhead["noop_ns_per_span"] < 5_000  # near-free when disabled

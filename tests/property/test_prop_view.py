@@ -72,6 +72,11 @@ leaf_sections = st.lists(  # one leaf: h=3 sections of records
 )
 
 
+def packed(sections):
+    """``append_leaf``'s (counts, payload) for per-section record lists."""
+    return [len(s) for s in sections], b"".join(map(KV_SCHEMA.pack_many, sections))
+
+
 class TestLeafStoreRoundtrip:
     @given(st.lists(leaf_sections, min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
@@ -79,7 +84,7 @@ class TestLeafStoreRoundtrip:
         disk = SimulatedDisk(page_size=256, cost=CostModel.scaled(256))
         writer = LeafStoreWriter(disk, KV_SCHEMA, height=3, num_leaves=len(leaves))
         for index, sections in enumerate(leaves):
-            writer.append_leaf(index, [list(s) for s in sections])
+            writer.append_leaf(index, *packed(sections))
         store = writer.finish()
         for index, sections in enumerate(leaves):
             leaf = store.read_leaf(index)
@@ -95,7 +100,7 @@ class TestLeafStoreRoundtrip:
         total = len(leaves) + gap
         writer = LeafStoreWriter(disk, KV_SCHEMA, height=3, num_leaves=total)
         for offset, sections in enumerate(leaves):
-            writer.append_leaf(gap + offset, [list(s) for s in sections])
+            writer.append_leaf(gap + offset, *packed(sections))
         store = writer.finish()
         for index in range(gap):
             assert store.read_leaf(index).num_records == 0

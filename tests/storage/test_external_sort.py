@@ -1,5 +1,7 @@
 """Unit tests for the TPMMS external sort."""
 
+from itertools import chain
+
 import pytest
 
 from repro.core import Field, Schema
@@ -28,6 +30,11 @@ def schema():
 
 def _load(disk, schema, n, seed=0):
     return HeapFile.bulk_load(disk, schema, make_kv_records(n, seed=seed), name="in")
+
+
+def _flatten(blocks):
+    """The records of a sink's blocks, in order."""
+    return list(chain.from_iterable(blocks))
 
 
 class TestExternalSort:
@@ -145,8 +152,8 @@ class TestSink:
         heap = _load(disk, schema, 400, seed=2)
         collected = []
 
-        def sink(stream):
-            collected.extend(stream)
+        def sink(blocks):
+            collected.extend(_flatten(blocks))
             return "done"
 
         result = external_sort_to_sink(
@@ -160,15 +167,13 @@ class TestSink:
     def test_sink_single_run(self, disk, schema):
         heap = _load(disk, schema, 30)
         got = external_sort_to_sink(
-            heap, key=lambda r: r[0], sink=lambda s: list(s), memory_pages=64
+            heap, key=lambda r: r[0], sink=_flatten, memory_pages=64
         )
         assert len(got) == 30
 
     def test_sink_empty_input(self, disk, schema):
         heap = HeapFile.bulk_load(disk, schema, [])
-        got = external_sort_to_sink(
-            heap, key=lambda r: r[0], sink=lambda s: list(s)
-        )
+        got = external_sort_to_sink(heap, key=lambda r: r[0], sink=_flatten)
         assert got == []
 
     def test_sink_runs_freed_even_on_error(self, disk, schema):

@@ -82,6 +82,57 @@ class TestBulkLoadAndScan:
             heap.read_page_records(5)
 
 
+class TestBulkLoadPacked:
+    def _chunks(self, schema, records, cuts):
+        blob = schema.pack_many(records)
+        bounds = [0, *cuts, len(blob)]
+        return [blob[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def test_matches_bulk_load(self, schema):
+        records = make_kv_records(75, seed=3)
+        expected_disk = SimulatedDisk(page_size=2048, cost=CostModel.scaled(2048))
+        HeapFile.bulk_load(expected_disk, schema, records)
+        size = schema.record_size
+        # One chunk, record-aligned chunks, and records split across chunks.
+        for cuts in ([], [20 * size, 21 * size], [150, 151, 2100, 4000]):
+            disk = SimulatedDisk(page_size=2048, cost=CostModel.scaled(2048))
+            heap = HeapFile.bulk_load_packed(
+                disk, schema, self._chunks(schema, records, cuts)
+            )
+            assert disk._pages == expected_disk._pages
+            assert repr(disk.clock) == repr(expected_disk.clock)
+            assert disk.stats == expected_disk.stats
+            assert list(heap.scan()) == [
+                schema.unpack(schema.pack(r)) for r in records
+            ]
+
+    def test_pages_written_before_next_chunk_is_pulled(self, disk, schema):
+        size, per_page = schema.record_size, 20
+        writes = []
+
+        def chunks():
+            for n in (15, 10, 20, 5):
+                writes.append(disk.stats.page_writes)
+                yield bytes(n * size)
+
+        heap = HeapFile.bulk_load_packed(disk, schema, chunks())
+        # Pages fill after 25 and 45 records; the partial tail comes last.
+        assert writes == [0, 0, 1, 2]
+        assert heap.num_records == 50 and heap.num_pages == 3
+        assert disk.stats.page_writes == 3 and per_page == heap.records_per_page
+
+    def test_chunks_off_record_boundary_rejected(self, disk, schema):
+        blob = schema.pack_many(make_kv_records(30, seed=4))
+        before = disk.allocated_pages
+        with pytest.raises(HeapFileError):
+            HeapFile.bulk_load_packed(disk, schema, [blob, b"\0" * 7])
+        assert disk.allocated_pages == before
+
+    def test_no_chunks_gives_empty_file(self, disk, schema):
+        heap = HeapFile.bulk_load_packed(disk, schema, [])
+        assert heap.num_records == 0 and heap.num_pages == 0
+
+
 class TestAppend:
     def test_append_buffers_until_page_full(self, disk, schema):
         heap = HeapFile.create(disk, schema)

@@ -5,11 +5,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.acetree import AceBuildParams, build_ace_tree
+from repro.acetree.geometry import choose_height
 from repro.core.errors import SchemaError, SortError
 from repro.storage import CostModel, HeapFile, SimulatedDisk
-from repro.view import create_sample_view
+from repro.view import MaterializedSampleView, create_sample_view
+from repro.workloads.sale import generate_sale_1d
 
 from ..conftest import make_kv_records
+
+
+def make_sale_rows(n, seed):
+    """``n`` records in the SALE 1-D layout (day, cust, part, supp, pad)."""
+    rng = np.random.default_rng(seed)
+    return [(int(day), 1, 2, 3, b"") for day in rng.integers(0, 10**9, n)]
 
 
 def _refreshable_view(disk, schema, n=5000):
@@ -160,3 +169,38 @@ class TestRefresh:
         assert disk.allocated_pages == clean_disk.allocated_pages
         assert v.delta_size == 0
         assert v.num_records == 5050
+
+    def test_explicit_height_survives_refreshes(self, disk):
+        source = generate_sale_1d(disk, 20_000, seed=1)
+        v = create_sample_view("v", source, index_on=("day",), height=6, seed=1)
+        assert (v.tree.height, v.tree.num_leaves) == (6, 32)
+        for round_no in range(2):
+            v.insert(make_sale_rows(100, seed=round_no))
+            v.refresh()
+            assert (v.tree.height, v.tree.num_leaves) == (6, 32)
+        assert v.num_records == 20_200
+
+    def test_arity_survives_refresh(self, disk, kv_schema):
+        records = make_kv_records(2000, seed=8)
+        heap = HeapFile.bulk_load(disk, kv_schema, records)
+        tree = build_ace_tree(
+            heap, AceBuildParams(key_fields=("k",), arity=3, seed=2)
+        )
+        v = MaterializedSampleView(name="k3", tree=tree, seed=2)
+        fresh = make_kv_records(50, seed=9)
+        v.insert(fresh)
+        v.refresh()
+        assert v.tree.geometry.arity == 3
+        assert v.tree.height == choose_height(2050, 100, disk.page_size, arity=3)
+        everything = v.query(None)
+        assert multiset(r for b in v.sample(everything, seed=1)
+                        for r in b.records) == multiset(records + fresh)
+
+    def test_auto_height_is_rechosen(self, view):
+        records, v = view
+        assert v.height is None
+        assert v.tree.height == choose_height(2500, 100, 2048)
+        v.insert(make_kv_records(2500, seed=12))
+        v.refresh()
+        assert v.tree.height == choose_height(5000, 100, 2048)
+        assert v.tree.height != choose_height(2500, 100, 2048)
