@@ -197,8 +197,9 @@ class LeafStore:
         self._extents = extents
         self._counts = _section_counts(height)
         self._memo = DecodeMemo(_LEAF_MEMO_LEAVES)
-        #: Data pages requested by :meth:`read_leaf_view`, memo hits
-        #: included; ``check_sample`` balances it against the disk's reads.
+        #: Data pages requested by :meth:`read_leaf_view` and
+        #: :meth:`read_leaf_payload`, memo hits included; ``check_sample``
+        #: balances it against the disk's reads.
         self.pages_read = 0
         #: Opaque identity for cache keys (see module docstring of
         #: :mod:`repro.storage.sample_cache`); bumped by :meth:`free`.
@@ -249,6 +250,19 @@ class LeafStore:
         and only skips the parse (the view's payload is immutable, so
         sharing is safe).
         """
+        return self._read(leaf_index, as_view=True)
+
+    def read_leaf_payload(self, leaf_index: int) -> memoryview:
+        """One leaf's packed record bytes, in section order.
+
+        Reads, validates and charges exactly as :meth:`read_leaf_view`
+        does (a memo hit included) and opens the same span, but builds no
+        :class:`LeafView` and puts nothing in the memo: for a whole-store
+        reload, whose store is freed right after.
+        """
+        return self._read(leaf_index, as_view=False)
+
+    def _read(self, leaf_index: int, as_view: bool):
         self._check_leaf(leaf_index)
         start = self._offsets[leaf_index]
         end = self._offsets[leaf_index + 1]
@@ -274,15 +288,24 @@ class LeafStore:
                 else:
                     disk.touch_pages(self._data_page_ids[first:first + span])
                 disk.charge_records(cached.num_records)
-                return cached
+                return cached if as_view else cached.page.payload
             chunks = [
                 read_page_resilient(self.disk, self._data_page_ids[first + i])
                 for i in range(span)
             ]
             blob = b"".join(chunks)
             local = start - first * page_size
-            view = self._parse_leaf_view(
-                blob[local:local + (end - start)], leaf_index
+            blob = blob[local:local + (end - start)]
+            counts, pos, need = self._check_leaf_blob(blob, leaf_index)
+            payload = memoryview(blob)[pos:pos + need]
+            if not as_view:
+                return payload
+            view = LeafView(
+                index=leaf_index,
+                schema=self.schema,
+                payload=payload,
+                counts=counts,
+                byte_size=len(blob),
             )
             self._memo.put(leaf_index, view)
             return view
@@ -296,7 +319,11 @@ class LeafStore:
         for leaf_index in range(self.num_leaves):
             yield self.read_leaf(leaf_index)
 
-    def _parse_leaf_view(self, blob: bytes, expected_index: int) -> LeafView:
+    def _check_leaf_blob(self, blob: bytes, expected_index: int):
+        """Validate one leaf's bytes and charge its records.
+
+        Returns ``(counts, payload offset, payload length)``.
+        """
         try:
             index, count = _LEAF_HEADER.unpack_from(blob, 0)
         except struct.error as exc:
@@ -319,13 +346,7 @@ class LeafStore:
                 f"for {total} records, have {len(blob) - pos}"
             )
         self.disk.charge_records(total)
-        return LeafView(
-            index=expected_index,
-            schema=self.schema,
-            payload=memoryview(blob)[pos:pos + need],
-            counts=counts,
-            byte_size=len(blob),
-        )
+        return counts, pos, need
 
     def free(self) -> None:
         """Release all data and directory pages (store becomes unusable)."""

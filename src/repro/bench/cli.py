@@ -525,27 +525,25 @@ def _export_trace(recorder, out: Path, top: int = 12, quality=None) -> int:
     return 0
 
 
+#: Record kinds the dashboard's flight tail shows (a flight dump's events).
+_EVENT_KINDS = ("span", "metric", "fault", "quality")
+
+
 def _load_exposition_source(path: Path):
     """(snapshot, quality records, event tail) from one JSONL file.
 
     Works for ordinary traces (the appended ``"kind": "metrics"`` record
     supplies the snapshot) and for flight dumps (the event lines supply
-    the tail); missing pieces degrade to empty.
+    the tail); missing pieces degrade to empty.  An invalid file raises
+    ``ValueError`` with its first error.
     """
-    from ..obs import load_metrics_snapshot, load_quality_jsonl
+    from ..obs import read_trace
 
-    snapshot = load_metrics_snapshot(path) or {}
-    quality = load_quality_jsonl(path)
-    events = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if isinstance(record, dict) and record.get("kind") in (
-            "span", "metric", "fault", "quality"
-        ):
-            events.append(record)
-    return snapshot, quality, events
+    trace = read_trace(path)
+    if trace.errors:
+        raise ValueError(trace.errors[0])
+    events = [r for r in trace.records if r["kind"] in _EVENT_KINDS]
+    return trace.last("metrics") or {}, trace.of_kind("quality"), events
 
 
 def _run_obs(args) -> int:
@@ -566,7 +564,7 @@ def _run_obs(args) -> int:
 
     try:
         snapshot, quality, events = load()
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"obs expose: cannot read {args.source}: {exc}", file=sys.stderr)
         return 2
 
@@ -588,7 +586,7 @@ def _run_obs(args) -> int:
             time.sleep(max(0.0, args.interval))
             try:
                 snapshot, quality, events = load()
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:
                 print(f"obs expose: cannot read {args.source}: {exc}",
                       file=sys.stderr)
                 return 2
@@ -628,19 +626,18 @@ def _run_validate(paths) -> int:
 
 
 def _load_trace(path: Path):
-    """Validated span records from one JSONL trace; None after printing errors."""
-    from ..obs import load_jsonl, validate_jsonl
+    """One validated JSONL trace (a :class:`~repro.obs.TraceFile`), or None
+    after printing its errors."""
+    from ..obs import read_trace
 
     try:
-        errors = validate_jsonl(path)
+        trace = read_trace(path)
     except OSError as exc:
         print(f"trace: INVALID {path}: {exc}", file=sys.stderr)
         return None
-    if errors:
-        for error in errors:
-            print(f"trace: INVALID {path}: {error}", file=sys.stderr)
-        return None
-    return load_jsonl(path)
+    for error in trace.errors:
+        print(f"trace: INVALID {path}: {error}", file=sys.stderr)
+    return None if trace.errors else trace
 
 
 def _run_trace_diff(args) -> int:
@@ -652,11 +649,11 @@ def _run_trace_diff(args) -> int:
               file=sys.stderr)
         return 2
     path_a, path_b = (Path(name) for name in args.names)
-    records_a = _load_trace(path_a)
-    records_b = _load_trace(path_b)
-    if records_a is None or records_b is None:
+    trace_a = _load_trace(path_a)
+    trace_b = _load_trace(path_b)
+    if trace_a is None or trace_b is None:
         return 2
-    diff = diff_traces(records_a, records_b)
+    diff = diff_traces(trace_a.spans, trace_b.spans)
     print(render_trace_diff(diff, a=str(path_a), b=str(path_b)), end="")
     if args.verdict is not None:
         args.verdict.write_text(json.dumps(
@@ -673,9 +670,10 @@ def _run_trace_analysis(args) -> int:
               file=sys.stderr)
         return 2
     path = Path(args.names[0])
-    records = _load_trace(path)
-    if records is None:
+    trace = _load_trace(path)
+    if trace is None:
         return 2
+    records = trace.spans
     if args.operation == "critical-path":
         from ..obs import critical_path, render_critical_path
 
@@ -692,16 +690,11 @@ def _run_trace_analysis(args) -> int:
               file=sys.stderr)
         return 0
     # 'report': re-render the full text report from the file's records.
-    from ..obs import (
-        load_cost_record,
-        load_metrics_snapshot,
-        load_quality_jsonl,
-        render_report,
-    )
+    from ..obs import render_report
 
     print(render_report(
-        records, load_metrics_snapshot(path), top=args.top,
-        quality=load_quality_jsonl(path), cost=load_cost_record(path),
+        records, trace.last("metrics"), top=args.top,
+        quality=trace.of_kind("quality"), cost=trace.last("cost"),
     ))
     return 0
 

@@ -393,15 +393,16 @@ def _sample_cache_benchmarks(n: int, repeat: int) -> tuple[dict, dict]:
     return wall, deterministic
 
 
-def _serve_benchmarks(n: int, repeat: int) -> tuple[dict, dict]:
+def _serve_benchmarks(n: int, repeat: int) -> tuple[dict, dict, dict]:
     """Multi-tenant serve scheduler: wall throughput + deterministic totals.
 
-    Returns ``(wall, deterministic)`` like the cache section: the wall side
-    times one full bursty 16-tenant run (arrivals, DRR quanta, quality
-    monitors); the deterministic side records the run's simulated clock,
-    step/turn counts, and page totals — pure functions of the seed, gated
-    exactly under the ``serve.*`` rule so a scheduling-order change cannot
-    land silently.
+    Returns ``(wall, deterministic, trace_export)``.  Like the cache
+    section, the wall side times one full bursty 16-tenant run (arrivals,
+    DRR quanta, quality monitors); the deterministic side records the
+    run's simulated clock, step/turn counts, and page totals — pure
+    functions of the seed, gated exactly under the ``serve.*`` rule so a
+    scheduling-order change cannot land silently.  The third is
+    :func:`_trace_export_benchmarks` over the same run.
     """
     from ..serve.scheduler import ServeConfig, ServeScheduler
     from ..serve.workload import Workload, WorkloadSpec
@@ -417,9 +418,11 @@ def _serve_benchmarks(n: int, repeat: int) -> tuple[dict, dict]:
     )
     config = ServeConfig(target_epsilon=0.05, max_samples=2_000)
 
-    def serve_once():
+    def serve_once(session=None):
         tree.disk.reset_clock()
-        return ServeScheduler(tree, Workload(spec, seed=7), config).run()
+        return ServeScheduler(
+            tree, Workload(spec, seed=7), config, session=session
+        ).run()
 
     wall_seconds = _best_of(repeat, lambda: None, lambda _state: serve_once())
     report = serve_once()
@@ -441,7 +444,55 @@ def _serve_benchmarks(n: int, repeat: int) -> tuple[dict, dict]:
         "tta_p50_sim_s": as_dict["tta_p50_sim_s"],
         "tta_p99_sim_s": as_dict["tta_p99_sim_s"],
     }
-    return wall, deterministic
+    return wall, deterministic, _trace_export_benchmarks(serve_once, repeat)
+
+
+def _trace_export_benchmarks(serve_once: Callable, repeat: int) -> dict:
+    """Writing one traced serve run's files: wall time and memory peak.
+
+    The serve row's run, traced, is written as JSONL (spans, quality
+    records, metrics snapshot) and as a Chrome trace, and the JSONL is
+    validated: the three calls ``python -m repro serve`` makes after a
+    run.  ``*_seconds`` are best-of-``repeat``; ``*_peak_kib`` are the
+    tracemalloc peaks of one more call.  All are advisory.
+    """
+    import tempfile
+    import tracemalloc
+    from pathlib import Path
+
+    from ..obs.cost import COST
+    from ..obs.export import export_chrome_trace, export_jsonl, validate_jsonl
+    from ..obs.metrics import MetricsRegistry
+    from ..obs.quality import QualitySession
+    from ..obs.recorder import TraceRecorder
+
+    registry = MetricsRegistry()
+    session = QualitySession(metrics=registry)
+    with TraceRecorder(metrics=registry) as recorder:
+        serve_once(session)
+    COST.reset()
+    spans, quality, snapshot = recorder.spans, session.records(), registry.snapshot()
+    row = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        jsonl = Path(tmp) / "serve.jsonl"
+        calls = {
+            "jsonl": lambda: export_jsonl(spans, jsonl, quality=quality,
+                                          metrics=snapshot),
+            "chrome": lambda: export_chrome_trace(
+                spans, jsonl.with_suffix(".chrome.json"), quality=quality),
+            "validate": lambda: validate_jsonl(jsonl),
+        }
+        for name, call in calls.items():
+            row[f"{name}_seconds"] = _best_of(
+                repeat, lambda: None, lambda _state: call()
+            )
+            tracemalloc.start()
+            try:
+                call()
+                row[f"{name}_peak_kib"] = tracemalloc.get_traced_memory()[1] / 1024
+            finally:
+                tracemalloc.stop()
+    return row
 
 
 def _online_agg_benchmarks(n: int, repeat: int) -> dict:
@@ -747,9 +798,10 @@ def run_micro(n: int = 20_000, repeat: int = 5, figures: bool = False) -> dict:
     cache_wall, cache_det = _sample_cache_benchmarks(n, repeat)
     results["ace_query_cache"] = cache_wall
     results["sample_cache"] = cache_det
-    serve_wall, serve_det = _serve_benchmarks(n, repeat)
+    serve_wall, serve_det, trace_export = _serve_benchmarks(n, repeat)
     results["serve_wall"] = serve_wall
     results["serve"] = serve_det
+    results["trace_export"] = trace_export
     results["online_agg"] = _online_agg_benchmarks(n, repeat)
     if figures:
         results["figure_sim"] = _figure_benchmarks()

@@ -32,9 +32,10 @@ the modeled hardware would charge).  This package provides that view:
   ``python -m repro obs expose``.
 * :mod:`repro.obs.recorder` — :class:`TraceRecorder` collects finished
   spans and derives histogram observations from them.
-* :mod:`repro.obs.export` — JSONL and Chrome ``trace_event`` exporters
-  (load the latter in ``chrome://tracing`` or Perfetto), plus a schema
-  validator for the JSONL form.
+* :mod:`repro.obs.export` — streamed JSONL and Chrome ``trace_event``
+  exporters (load the latter in ``chrome://tracing`` or Perfetto), a
+  schema validator for the JSONL form, and ``read_trace``, the one-pass
+  reader of a JSONL trace or flight dump.
 * :mod:`repro.obs.report` — the text report behind ``python -m repro
   trace``: top spans by wall and simulated cost, page-read attribution,
   the per-level stab table, and the sampling-rate timeline.
@@ -74,12 +75,10 @@ from .analyze import (
 from .context import CONTEXT, LABEL_KEYS, TelemetryContext
 from .cost import COST, CostAccountant
 from .export import (
+    TraceFile,
     export_chrome_trace,
     export_jsonl,
-    load_cost_record,
-    load_jsonl,
-    load_metrics_snapshot,
-    load_quality_jsonl,
+    read_trace,
     strip_wall_keys,
     to_chrome_trace,
     validate_jsonl,
@@ -127,6 +126,7 @@ __all__ = [
     "TRACER",
     "TelemetryContext",
     "TraceDiff",
+    "TraceFile",
     "TraceRecorder",
     "Tracer",
     "compare_benchmarks",
@@ -141,14 +141,11 @@ __all__ = [
     "export_chrome_trace",
     "export_jsonl",
     "flamegraph_lines",
-    "load_cost_record",
-    "load_jsonl",
-    "load_metrics_snapshot",
-    "load_quality_jsonl",
     "page_read_attribution",
     "parse_prometheus_text",
     "prometheus_text",
     "quality_sections",
+    "read_trace",
     "render_critical_path",
     "render_dashboard",
     "render_flamegraph_summary",

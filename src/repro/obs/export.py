@@ -23,6 +23,13 @@ readers of version-1 files (spans only) keep working unchanged.
 :func:`validate_jsonl` checks a file against the schemas (the CI trace
 smoke job and ``python -m repro trace validate`` run this).
 
+Files stream in both directions, so memory holds one record, not the
+file.  The exporters encode and write one record at a time into a file
+beside the target, which replaces the target only once complete.
+:func:`validate_jsonl` and :func:`read_trace` (the spans re-linked, the
+other records, and the validation errors) decode one line at a time, in
+one pass per file.
+
 Wall-clock keys (:data:`WALL_KEYS`) are the one part of a record that is
 *not* replay-stable; :func:`strip_wall_keys` is the shared projection
 used both by the flight recorder's deterministic view and by the
@@ -45,7 +52,12 @@ attributes and page-read/write deltas ride along in ``args``.
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Sequence
+from contextlib import contextmanager
+from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 from .tracer import SpanRecord
 
@@ -60,15 +72,14 @@ __all__ = [
     "QUALITY_SCHEMA",
     "SPAN_SCHEMA",
     "WALL_KEYS",
+    "TraceFile",
     "export_chrome_trace",
     "export_jsonl",
-    "load_cost_record",
-    "load_jsonl",
-    "load_metrics_snapshot",
-    "load_quality_jsonl",
+    "read_trace",
     "strip_wall_keys",
     "to_chrome_trace",
     "validate_jsonl",
+    "write_records",
 ]
 
 #: Record keys whose values are wall-clock measurements (never
@@ -222,6 +233,40 @@ def span_to_dict(record: SpanRecord) -> dict:
     return out
 
 
+@contextmanager
+def _replace_on_success(path):
+    """A text handle on a file beside *path* that replaces *path* on success.
+
+    The records are written one at a time, so a failure part-way (a
+    non-JSON attribute, say) must not leave a truncated file where a
+    complete one was: the partial file is removed and *path* is untouched.
+    """
+    target = Path(path)
+    partial = target.with_name(target.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:  # repro: allow[CLK001] trace files are host artifacts, not simulated pages
+            yield handle
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def write_records(path, records) -> int:
+    """Write dict *records* to *path* as JSONL, one sorted-key object per line.
+
+    Each record is encoded and written before the next is pulled, so
+    memory holds one line, not the file.  Returns the line count.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
+    count = 0
+    with _replace_on_success(path) as handle:
+        for record in records:
+            handle.write(encode(record) + "\n")
+            count += 1
+    return count
+
+
 def export_jsonl(spans, path, quality=None, metrics=None, extra=None) -> int:
     """Write *spans* (plus optional quality records) to *path*.
 
@@ -234,46 +279,10 @@ def export_jsonl(spans, path, quality=None, metrics=None, extra=None) -> int:
     as one ``"kind": "metrics"`` record so the exposition CLI can
     re-render the run.  Returns the total line count.
     """
-    lines = [json.dumps(span_to_dict(span), sort_keys=True) for span in spans]
-    if quality:
-        lines.extend(json.dumps(record, sort_keys=True) for record in quality)
-    if extra:
-        lines.extend(json.dumps(record, sort_keys=True) for record in extra)
-    if metrics is not None:
-        lines.append(
-            json.dumps({"kind": "metrics", "v": 1, **metrics}, sort_keys=True)
-        )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-    return len(lines)
-
-
-def load_jsonl(path) -> list[SpanRecord]:
-    """Rebuild span records (with children re-linked) from a JSONL file."""
-    records: list[SpanRecord] = []
-    by_id: dict[int, SpanRecord] = {}
-    text = Path(path).read_text()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if isinstance(obj, dict) and obj.get("kind", "span") != "span":
-            continue  # quality (or future) records; see load_quality_jsonl
-        record = SpanRecord(obj["name"], obj.get("attrs") or {})
-        record.span_id = obj["span_id"]
-        record.parent_id = obj.get("parent_id")
-        record.start_wall = obj["start_wall"]
-        record.end_wall = obj["end_wall"]
-        record.start_sim = obj.get("start_sim")
-        record.end_sim = obj.get("end_sim")
-        record.page_reads = obj.get("page_reads", 0)
-        record.page_writes = obj.get("page_writes", 0)
-        records.append(record)
-        by_id[record.span_id] = record
-    for record in records:
-        parent = by_id.get(record.parent_id) if record.parent_id is not None else None
-        if parent is not None:
-            parent.children.append(record)
-    return records
+    snapshot = () if metrics is None else ({"kind": "metrics", "v": 1, **metrics},)
+    return write_records(path, chain(
+        map(span_to_dict, spans), quality or (), extra or (), snapshot,
+    ))
 
 
 def _check_schema(obj: dict, schema: dict, where: str) -> list[str]:
@@ -339,73 +348,161 @@ def validate_span_dict(obj, line_no: int = 0) -> list[str]:
     return errors
 
 
+def _scan(path):
+    """Decode and schema-check a JSONL file one line at a time.
+
+    Yields ``(record, errors)`` for every non-blank line, in file order;
+    ``record`` is ``None`` when the line is not JSON.  Lines end at
+    ``"\\n"`` only (a CRLF file still reads): ``str.splitlines`` would
+    also split at U+2028, U+2029 and U+0085, which JSON strings may hold
+    raw.  Only span records *declare* ids; exemplar records carry a
+    span_id that references an existing span, so they are exempt from the
+    uniqueness check.
+    """
+    seen_ids: set[int] = set()
+    with open(path, encoding="utf-8", newline="\n") as handle:  # repro: allow[CLK001] trace files are host artifacts, not simulated pages
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.rstrip("\r\n"))
+            except json.JSONDecodeError as exc:
+                yield None, [f"line {line_no}: not valid JSON ({exc.msg})"]
+                continue
+            errors = validate_span_dict(obj, line_no)
+            if (
+                isinstance(obj, dict)
+                and obj.get("kind", "span") == "span"
+                and isinstance(obj.get("span_id"), int)
+            ):
+                if obj["span_id"] in seen_ids:
+                    errors.append(
+                        f"line {line_no}: duplicate span_id {obj['span_id']}"
+                    )
+                seen_ids.add(obj["span_id"])
+            yield obj, errors
+
+
 def validate_jsonl(path) -> list[str]:
     """Validate every line of a JSONL trace file; empty list means valid."""
     errors: list[str] = []
-    seen_ids: set[int] = set()
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(f"line {line_no}: not valid JSON ({exc.msg})")
-            continue
-        errors.extend(validate_span_dict(obj, line_no))
-        # Only span records *declare* ids; exemplar records carry a
-        # span_id that references an existing span, so they are exempt
-        # from the uniqueness check.
-        if (
-            isinstance(obj, dict)
-            and obj.get("kind", "span") == "span"
-            and isinstance(obj.get("span_id"), int)
-        ):
-            if obj["span_id"] in seen_ids:
-                errors.append(f"line {line_no}: duplicate span_id {obj['span_id']}")
-            seen_ids.add(obj["span_id"])
+    for _, line_errors in _scan(path):
+        errors.extend(line_errors)
     return errors
 
 
-def load_metrics_snapshot(path) -> dict | None:
-    """The last ``"kind": "metrics"`` snapshot in a JSONL file, if any."""
-    snapshot = None
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if isinstance(obj, dict) and obj.get("kind") == "metrics":
-            snapshot = {
-                key: value for key, value in obj.items()
-                if key not in ("kind", "v")
-            }
-    return snapshot
+class TraceFile(NamedTuple):
+    """What :func:`read_trace` found in one JSONL file.
+
+    ``spans`` are the span records with children re-linked.  ``records``
+    holds every record that names its ``kind``, in file order: the
+    quality, exemplar, cost and metrics records of a trace, and every
+    event of a flight dump (whose spans say ``"kind": "span"`` and so are
+    in both lists).  ``errors`` are :func:`validate_jsonl`'s messages; a
+    line with errors contributes nothing else.
+    """
+
+    spans: list
+    records: list
+    errors: list
+
+    def of_kind(self, kind: str) -> list[dict]:
+        """The records of one kind, in file order."""
+        return [record for record in self.records if record["kind"] == kind]
+
+    def last(self, kind: str) -> dict | None:
+        """The last record of *kind* without its ``kind``/``v`` keys, if any."""
+        for record in reversed(self.records):
+            if record["kind"] == kind:
+                return {key: value for key, value in record.items()
+                        if key not in ("kind", "v")}
+        return None
 
 
-def load_cost_record(path) -> dict | None:
-    """The last ``"kind": "cost"`` record in a JSONL file, if any."""
-    record = None
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if isinstance(obj, dict) and obj.get("kind") == "cost":
-            record = {
-                key: value for key, value in obj.items()
-                if key not in ("kind", "v")
-            }
-    return record
-
-
-def load_quality_jsonl(path) -> list[dict]:
-    """The ``"kind": "quality"`` records of a JSONL trace file, in order."""
+def read_trace(path) -> TraceFile:
+    """Read a JSONL trace or flight dump in one pass (see :class:`TraceFile`)."""
+    spans: list[SpanRecord] = []
     records: list[dict] = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
+    errors: list[str] = []
+    by_id: dict[int, SpanRecord] = {}
+    for obj, line_errors in _scan(path):
+        if line_errors:
+            errors.extend(line_errors)
             continue
-        obj = json.loads(line)
-        if isinstance(obj, dict) and obj.get("kind") == "quality":
+        kind = obj.get("kind")
+        if kind is not None:
             records.append(obj)
-    return records
+            if kind != "span":
+                continue
+        record = SpanRecord(obj["name"], obj.get("attrs") or {})
+        record.span_id = obj["span_id"]
+        record.parent_id = obj.get("parent_id")
+        record.start_wall = obj["start_wall"]
+        record.end_wall = obj["end_wall"]
+        record.start_sim = obj.get("start_sim")
+        record.end_sim = obj.get("end_sim")
+        record.page_reads = obj.get("page_reads", 0)
+        record.page_writes = obj.get("page_writes", 0)
+        spans.append(record)
+        by_id[record.span_id] = record
+    for record in spans:
+        parent = by_id.get(record.parent_id) if record.parent_id is not None else None
+        if parent is not None:
+            parent.children.append(record)
+    return TraceFile(spans, records, errors)
+
+
+#: Chrome events encoded per ``json.dumps`` call by :func:`export_chrome_trace`.
+_CHROME_CHUNK = 128
+
+
+def _chrome_events(spans, quality):
+    """The Chrome trace_event dicts for *spans* and *quality*, one at a time."""
+    if not isinstance(spans, Sequence):
+        spans = list(spans)  # iterated twice: once for the time base
+    yield {"ph": "M", "pid": 1, "tid": 1, "name": "process_name",
+           "args": {"name": "wall clock"}}
+    yield {"ph": "M", "pid": 2, "tid": 1, "name": "process_name",
+           "args": {"name": "simulated disk"}}
+    base_wall = min((s.start_wall for s in spans), default=0.0)
+    for span in spans:
+        args = dict(span.attrs)
+        if span.start_sim is not None:
+            args["page_reads"] = span.page_reads
+            args["page_writes"] = span.page_writes
+        yield {
+            "name": span.name,
+            "ph": "X",
+            "pid": 1,
+            "tid": 1,
+            "ts": (span.start_wall - base_wall) * 1e6,
+            "dur": span.wall_seconds * 1e6,
+            "args": args,
+        }
+        if span.start_sim is not None:
+            yield {
+                "name": span.name,
+                "ph": "X",
+                "pid": 2,
+                "tid": 1,
+                "ts": span.start_sim * 1e6,
+                "dur": span.sim_seconds * 1e6,
+                "args": args,
+            }
+    for record in quality or ():
+        name = f"ci_half_width:{record.get('label', record.get('group', '?'))}"
+        for point in record.get("estimator", {}).get("timeline", ()):
+            half = point.get("half_width")
+            if half is None:
+                continue
+            yield {
+                "name": name,
+                "ph": "C",
+                "pid": 2,
+                "tid": 1,
+                "ts": point["clock"] * 1e6,
+                "args": {"half_width": half},
+            }
 
 
 def to_chrome_trace(spans, quality=None) -> dict:
@@ -415,57 +512,24 @@ def to_chrome_trace(spans, quality=None) -> dict:
     timeline: the running CI half-width of each monitored stream, so the
     statistical convergence renders alongside the I/O spans in Perfetto.
     """
-    spans = list(spans)
-    events = [
-        {"ph": "M", "pid": 1, "tid": 1, "name": "process_name",
-         "args": {"name": "wall clock"}},
-        {"ph": "M", "pid": 2, "tid": 1, "name": "process_name",
-         "args": {"name": "simulated disk"}},
-    ]
-    base_wall = min((s.start_wall for s in spans), default=0.0)
-    for span in spans:
-        args = dict(span.attrs)
-        if span.start_sim is not None:
-            args["page_reads"] = span.page_reads
-            args["page_writes"] = span.page_writes
-        events.append({
-            "name": span.name,
-            "ph": "X",
-            "pid": 1,
-            "tid": 1,
-            "ts": (span.start_wall - base_wall) * 1e6,
-            "dur": span.wall_seconds * 1e6,
-            "args": args,
-        })
-        if span.start_sim is not None:
-            events.append({
-                "name": span.name,
-                "ph": "X",
-                "pid": 2,
-                "tid": 1,
-                "ts": span.start_sim * 1e6,
-                "dur": span.sim_seconds * 1e6,
-                "args": args,
-            })
-    for record in quality or ():
-        name = f"ci_half_width:{record.get('label', record.get('group', '?'))}"
-        for point in record.get("estimator", {}).get("timeline", ()):
-            half = point.get("half_width")
-            if half is None:
-                continue
-            events.append({
-                "name": name,
-                "ph": "C",
-                "pid": 2,
-                "tid": 1,
-                "ts": point["clock"] * 1e6,
-                "args": {"half_width": half},
-            })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return {"traceEvents": list(_chrome_events(spans, quality)),
+            "displayTimeUnit": "ms"}
 
 
 def export_chrome_trace(spans, path, quality=None) -> int:
-    """Write the Chrome trace for *spans* to *path*; returns the event count."""
-    trace = to_chrome_trace(spans, quality=quality)
-    Path(path).write_text(json.dumps(trace) + "\n")
-    return len(trace["traceEvents"])
+    """Write the Chrome trace for *spans* to *path*; returns the event count.
+
+    The file is the ``json.dumps`` of :func:`to_chrome_trace`'s object.
+    Events are encoded :data:`_CHROME_CHUNK` at a time (one C-level
+    encode per chunk, with the brackets of the chunk's list cut off), so
+    memory holds one chunk, not the file.
+    """
+    events = _chrome_events(spans, quality)
+    count = 0
+    with _replace_on_success(path) as handle:
+        handle.write('{"traceEvents": [')
+        while chunk := list(islice(events, _CHROME_CHUNK)):
+            handle.write((", " if count else "") + json.dumps(chunk)[1:-1])
+            count += len(chunk)
+        handle.write('], "displayTimeUnit": "ms"}\n')
+    return count

@@ -37,12 +37,12 @@ replay-stable (asserted under ``testkit replay`` in the test suite).
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from threading import Lock
 
-from .export import span_to_dict, strip_wall_keys
+from .export import span_to_dict, strip_wall_keys, write_records
 from .tracer import TRACER
 
 __all__ = [
@@ -67,11 +67,8 @@ def write_dump(events, path, reason: str, dropped: int = 0) -> Path:
         "events": len(events),
         "dropped": int(dropped),
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(event, sort_keys=True) for event in events)
-    out = Path(path)
-    out.write_text("\n".join(lines) + "\n")
-    return out
+    write_records(path, chain((header,), events))
+    return Path(path)
 
 
 def deterministic_view(events) -> list[dict]:

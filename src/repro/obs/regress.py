@@ -117,6 +117,8 @@ DEFAULT_RULES: tuple[MetricRule, ...] = (
     # turn, page, and completion counts are pure functions of the seed
     # (wall timings of the serve workload live under serve_wall.*).
     MetricRule(r"serve\..*", "exact"),
+    # Memory peaks of the trace-export calls: allocator-dependent, advisory.
+    MetricRule(r"trace_export\..*_peak_kib", "lower_better"),
     # Wall-clock: throughputs up, durations down.
     MetricRule(r".*_per_s", "higher_better"),
     MetricRule(r".*(seconds|_ns_per_span|_ns_per_inc)", "lower_better"),

@@ -24,7 +24,9 @@ sharing one tree, buffer pool, and disk:
 * **Completion**: a query finishes when its time-to-accuracy target is
   met (the PR 4 stopping rule, via
   :class:`~repro.obs.quality.StreamQualityMonitor`), when its stream is
-  exhausted, or at the sample cap.
+  exhausted, or at the sample cap.  A finished run keeps its counts and
+  monitor but releases its stream, so memory follows the queries in
+  flight, not the queries answered.
 
 Every step of every admitted query runs under
 ``CONTEXT.push(tenant=..., query=...)``, so traces, labeled metrics,
@@ -94,6 +96,7 @@ class QueryRun:
     """One admitted query in flight."""
 
     request: ServeRequest
+    #: The live stream; ``None`` once the run finishes (see :attr:`degraded`).
     stream: object
     monitor: object
     arrival: float
@@ -105,6 +108,9 @@ class QueryRun:
     #: "target" | "exhausted" | "sample-cap" | "budget" | "horizon"
     reason: str = ""
     completed_clock: float | None = None
+    #: The stream's ``degraded`` flag, copied when the run finishes and
+    #: releases its stream (memory follows the queries in flight).
+    degraded: bool = False
     #: Emitted batches, kept only when the scheduler collects records for
     #: the differential oracle.
     batches: list = field(default_factory=list)
@@ -402,17 +408,14 @@ class ServeScheduler:  # repro: shared[owner=serve.scheduler] the owner itself: 
         )
 
     def _finish(self, run: QueryRun, reason: str) -> None:
-        run.finished = True
-        run.reason = reason
         run.completed_clock = self.disk.clock
         if run.stream.degraded and not run.monitor.degraded:
             run.monitor.mark_degraded(
                 f"stream degraded (lost leaves: {run.stream.lost_leaves})"
             )
-        run.monitor.finalize()
         state = self.tenants[run.request.tenant]
+        self._retire(state, run, reason)
         state.completed += 1
-        self._queued -= 1
         if reason == "target":
             state.target_hits += 1
             target = self.config.target_epsilon
@@ -422,8 +425,6 @@ class ServeScheduler:  # repro: shared[owner=serve.scheduler] the owner itself: 
                 key=lambda r: r.epsilon,
             )
             state.tta.append(hit.sim_seconds)
-        state.finished_runs.append(run)
-        state.active = None
         # Closed loop: the completion is what triggers the next submission.
         if self.workload.spec.closed_loop and state.pending:
             nxt = state.pending.popleft()
@@ -517,14 +518,24 @@ class ServeScheduler:  # repro: shared[owner=serve.scheduler] the owner itself: 
     def _abandon_rest(self, reason: str) -> None:
         """Horizon hit: finalize whatever is still in flight, unanswered."""
         for state in self.tenants.values():
-            run = state.active
-            if run is not None:
-                run.finished = True
-                run.reason = reason
-                run.monitor.finalize()
-                state.finished_runs.append(run)
-                state.active = None
-                self._queued -= 1
+            if state.active is not None:
+                self._retire(state, state.active, reason)
+
+    def _retire(self, state: TenantState, run: QueryRun, reason: str) -> None:
+        """Move the tenant's active run to ``finished_runs``, dropping its stream.
+
+        Only the stream's ``degraded`` flag is read after this (the serve
+        oracle), so it is copied onto the run and the stream's per-level
+        state is released.
+        """
+        run.finished = True
+        run.reason = reason
+        run.monitor.finalize()
+        run.degraded = run.stream.degraded
+        run.stream = None
+        state.finished_runs.append(run)
+        state.active = None
+        self._queued -= 1
 
     # -- reporting ------------------------------------------------------
 

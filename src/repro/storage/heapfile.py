@@ -78,12 +78,19 @@ class HeapFile:  # repro: shared[owner=serve.scheduler] append path is build-tim
         records: Iterable[Record],
         name: str = "",
     ) -> "HeapFile":
-        """Create a heap file holding ``records`` in iteration order."""
+        """Create a heap file holding ``records`` in iteration order.
+
+        If ``records`` raises, the pages already written are freed.
+        """
         heap = cls(disk, schema, name)
         per_page = heap.records_per_page
         it = iter(records)
-        while page := list(islice(it, per_page)):
-            heap._write_full_page(page)
+        try:
+            while page := list(islice(it, per_page)):
+                heap._write_full_page(page)
+        except BaseException:
+            heap.free()
+            raise
         return heap
 
     @classmethod
@@ -105,27 +112,32 @@ class HeapFile:  # repro: shared[owner=serve.scheduler] append path is build-tim
         production of its records.  Pages, charges and byte layout are
         identical to :meth:`bulk_load` of the decoded records — the
         serializer round-trip is the identity for every field kind — so
-        the two constructions are interchangeable.
+        the two constructions are interchangeable.  If ``chunks`` raises
+        (a corrupt leaf under a view refresh, say), or the chunks end off
+        a record boundary, the pages already written are freed.
         """
         heap = cls(disk, schema, name)
         per_page = heap.records_per_page
         size = schema.record_size
         page_bytes = per_page * size
         pending = bytearray()
-        for chunk in chunks:
-            pending += memoryview(chunk).cast("B")
-            full = len(pending) - len(pending) % page_bytes
-            for lo in range(0, full, page_bytes):
-                heap._write_packed_page(pending[lo:lo + page_bytes], per_page)
-            del pending[:full]
-        if len(pending) % size:
+        try:
+            for chunk in chunks:
+                pending += memoryview(chunk).cast("B")
+                full = len(pending) - len(pending) % page_bytes
+                for lo in range(0, full, page_bytes):
+                    heap._write_packed_page(pending[lo:lo + page_bytes], per_page)
+                del pending[:full]
+            if len(pending) % size:
+                raise HeapFileError(
+                    f"packed chunks end {len(pending) % size} bytes into a "
+                    f"{size}-byte record"
+                )
+            if pending:
+                heap._write_packed_page(pending, len(pending) // size)
+        except BaseException:
             heap.free()
-            raise HeapFileError(
-                f"packed chunks end {len(pending) % size} bytes into a "
-                f"{size}-byte record"
-            )
-        if pending:
-            heap._write_packed_page(pending, len(pending) // size)
+            raise
         return heap
 
     # -- geometry ----------------------------------------------------------

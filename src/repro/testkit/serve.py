@@ -498,7 +498,7 @@ def run_serve_scenario(
             matching = reference_matching(records, box)
             verdict.reports.append(check_stream(
                 label,
-                _DrainedStream(run.batches, run.stream.degraded),
+                _DrainedStream(run.batches, run.degraded),
                 matching,
                 query=(run.request.lo, run.request.hi),
                 degraded_ok=degraded_ok,

@@ -109,7 +109,7 @@ class MaterializedSampleView:
         tree = self.tree
         store = tree.leaf_store
         chunks = chain(
-            (store.read_leaf_view(i).page.payload for i in range(store.num_leaves)),
+            (store.read_leaf_payload(i) for i in range(store.num_leaves)),
             (tree.schema.pack_many(self._delta),),
         )
         merged = HeapFile.bulk_load_packed(

@@ -170,6 +170,68 @@ class TestVariableSizeLeaves:
         assert disk.stats.page_reads - reads0 == 2 * spans
 
 
+class TestReadLeafPayload:
+    """The refresh reload's read: read_leaf_view's I/O without the view."""
+
+    def _store(self, disk, schema):
+        writer = LeafStoreWriter(disk, schema, height=2, num_leaves=4)
+        for leaf in range(4):
+            records = [(i, float(i)) for i in range(40 * leaf + 1)]
+            writer.append_leaf(leaf, *packed(schema, [records[::2], records[1::2]]))
+        return writer.finish()
+
+    def _ledger(self, disk, store):
+        return repr(disk.clock), repr(disk.stats), store.pages_read
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_same_bytes_and_charges_as_the_view_read(self, schema, warm):
+        ledgers, payloads = [], []
+        for read in ("view", "payload"):
+            disk = SimulatedDisk(page_size=512, cost=CostModel.scaled(512))
+            store = self._store(disk, schema)
+            disk.reset_clock()
+            if warm:  # memo hits: the charges must not depend on the memo
+                for i in range(store.num_leaves):
+                    store.read_leaf_view(i)
+            got = []
+            for i in range(store.num_leaves):
+                if read == "view":
+                    got.append(bytes(store.read_leaf_view(i).page.payload))
+                else:
+                    got.append(bytes(store.read_leaf_payload(i)))
+            ledgers.append(self._ledger(disk, store))
+            payloads.append(got)
+        assert ledgers[0] == ledgers[1]
+        assert payloads[0] == payloads[1]
+
+    def test_no_view_is_memoized(self, disk, schema):
+        store = self._store(disk, schema)
+        store.read_leaf_payload(2)
+        assert len(store._memo) == 0
+        view = store.read_leaf_view(2)
+        assert store.read_leaf_view(2) is view
+
+    def test_opens_the_same_span(self, disk, schema):
+        from repro.obs import MetricsRegistry, TraceRecorder
+
+        store = self._store(disk, schema)
+        spans = []
+        for read in (store.read_leaf_view, store.read_leaf_payload):
+            with TraceRecorder(metrics=MetricsRegistry()) as recorder:
+                read(3)
+            (span,) = recorder.spans
+            spans.append((span.name, span.attrs, span.page_reads))
+        assert spans[0] == spans[1]
+        assert spans[0][0] == "leaf_store.read_leaf"
+
+    def test_corrupt_leaf_raises(self, disk, schema):
+        store = self._store(disk, schema)
+        page = store._data_page_ids[0]
+        disk.write_page(page, b"\xff" * 16 + disk.read_page(page)[16:])
+        with pytest.raises(SerializationError):
+            store.read_leaf_payload(0)
+
+
 class TestStoreApi:
     def test_iter_leaves(self, disk, schema):
         writer = LeafStoreWriter(disk, schema, height=2, num_leaves=3)

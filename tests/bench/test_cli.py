@@ -69,6 +69,11 @@ class TestBench:
         assert set(refresh) == {"seconds", "sim_seconds", "page_reads",
                                 "page_writes"}
         assert refresh["seconds"] > 0 and refresh["page_writes"] > 0
+        export = results["trace_export"]
+        assert set(export) == {f"{call}_{unit}"
+                               for call in ("jsonl", "chrome", "validate")
+                               for unit in ("seconds", "peak_kib")}
+        assert all(value > 0 for value in export.values())
         overhead = results["span_overhead"]
         assert set(overhead) == {"spans_per_run", "noop_ns_per_span"}
         assert overhead["noop_ns_per_span"] < 5_000  # near-free when disabled
@@ -173,11 +178,11 @@ class TestTrace:
         assert float(match.group(1)) >= 95.0
 
     def test_trace_build_produces_build_spans(self, capsys, tmp_path):
-        from repro.obs import load_jsonl
+        from repro.obs import read_trace
 
         out = tmp_path / "trace.jsonl"
         assert main(["trace", "build", "--out", str(out)]) == 0
-        names = {s.name for s in load_jsonl(out)}
+        names = {s.name for s in read_trace(out).spans}
         assert "ace_build.phase1" in names
         assert "ace_build.phase2" in names
         assert "external_sort.run_fill" in names
@@ -195,7 +200,7 @@ class TestTrace:
         assert "unknown figure" in capsys.readouterr().err
 
     def test_trace_query_prints_quality_sections(self, capsys, tmp_path):
-        from repro.obs import load_quality_jsonl
+        from repro.obs import read_trace
 
         out = tmp_path / "trace.jsonl"
         assert main(["trace", "query", "--out", str(out)]) == 0
@@ -203,7 +208,7 @@ class TestTrace:
         assert "== quality: uniformity" in stdout
         assert "== quality: time-to-accuracy" in stdout
         assert "== quality: CI half-width vs sim time" in stdout
-        records = load_quality_jsonl(out)
+        records = read_trace(out).of_kind("quality")
         assert len(records) == 3  # one per traced query
         assert all(r["group"] == "ACE Tree" for r in records)
         assert all(r["uniformity"]["ok"] for r in records)
@@ -234,7 +239,7 @@ class TestTrace:
         assert main(["trace", "validate", str(tmp_path / "nope.jsonl")]) == 1
 
     def test_figures_trace_flag_records_figure_spans(self, capsys, tmp_path):
-        from repro.obs import load_jsonl, validate_jsonl
+        from repro.obs import read_trace, validate_jsonl
 
         out = tmp_path / "fig.jsonl"
         code = main(["figures", "fig12", "--scale", "small", "--queries", "1",
@@ -244,7 +249,7 @@ class TestTrace:
         assert "% scan time" in stdout  # normal figure output still present
         assert "valid JSONL" in stdout
         assert validate_jsonl(out) == []
-        names = {s.name for s in load_jsonl(out)}
+        names = {s.name for s in read_trace(out).spans}
         assert "figure.fig12" in names
         assert "figure.race" in names
         assert "ace_query.stab" in names

@@ -15,7 +15,7 @@ from repro.obs import (
     MetricsRegistry,
     TraceRecorder,
     export_jsonl,
-    load_jsonl,
+    read_trace,
     validate_jsonl,
 )
 from repro.obs.analyze import (
@@ -321,7 +321,7 @@ class TestFaultDegradedTrace:
         path = tmp_path / "degraded.jsonl"
         export_jsonl(spans, path)
         assert validate_jsonl(path) == []
-        diff = diff_traces(spans, load_jsonl(path))
+        diff = diff_traces(spans, read_trace(path).spans)
         assert diff.identical
 
 

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
+
+import pytest
 
 from repro.obs import (
+    FLIGHT,
+    TRACER,
     MetricsRegistry,
     QualitySession,
     export_chrome_trace,
     export_jsonl,
-    load_jsonl,
-    load_quality_jsonl,
+    read_trace,
     to_chrome_trace,
     validate_jsonl,
 )
+from repro.obs import export as export_module
+from repro.obs.flight import write_dump
 from repro.obs.tracer import SpanRecord
 
 
@@ -46,7 +53,7 @@ class TestJsonl:
         spans = _make_spans()
         assert export_jsonl(spans, path) == 3
 
-        loaded = load_jsonl(path)
+        loaded = read_trace(path).spans
         assert [s.name for s in loaded] == ["build.sort", "build", "tick"]
         by_id = {s.span_id: s for s in loaded}
         root = by_id[1]
@@ -66,7 +73,7 @@ class TestJsonl:
     def test_empty_trace_round_trips(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         assert export_jsonl([], path) == 0
-        assert load_jsonl(path) == []
+        assert read_trace(path) == ([], [], [])
         assert validate_jsonl(path) == []
 
 
@@ -113,6 +120,52 @@ class TestValidation:
                         '"start_wall": 2.0, "end_wall": 1.0}\n')
         assert any("end_wall precedes" in e for e in validate_jsonl(path))
 
+    def test_raw_line_separators_inside_strings(self, tmp_path):
+        """JSON strings may hold U+2028, U+2029 and U+0085 raw; a line ends
+        at "\\n" only."""
+        path = tmp_path / "raw.jsonl"
+        name = "a\u2028b\u2029c\x85d"
+        span = {"name": name, "span_id": 1, "parent_id": None,
+                "start_wall": 0.0, "end_wall": 1.0}
+        path.write_text(json.dumps(span, ensure_ascii=False) + "\n",
+                        encoding="utf-8")
+        assert validate_jsonl(path) == []
+        (loaded,) = read_trace(path).spans
+        assert loaded.name == name
+
+    def test_crlf_lines_still_read(self, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        export_jsonl(_make_spans(), path)
+        crlf = tmp_path / "crlf2.jsonl"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert validate_jsonl(crlf) == []
+        assert [s.span_id for s in read_trace(crlf).spans] == [2, 1, 3]
+
+    def test_validation_builds_no_span_records(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.jsonl"
+        export_jsonl(_make_spans(), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate_jsonl built a SpanRecord")
+
+        monkeypatch.setattr(export_module, "SpanRecord", refuse)
+        assert validate_jsonl(path) == []
+
+    def test_read_trace_reports_the_validator_errors(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = ('{"name": "a", "span_id": 1, "parent_id": null, '
+                '"start_wall": 0.0, "end_wall": 1.0}')
+        path.write_text(good + "\n{not json\n" + good + "\n"
+                        + '{"kind": "mystery", "v": 1}\n')
+        trace = read_trace(path)
+        assert trace.errors == validate_jsonl(path)
+        assert [e.split(":")[0] for e in trace.errors] == [
+            "line 2", "line 3", "line 4",
+        ]
+        # A line with errors contributes nothing else.
+        assert [s.span_id for s in trace.spans] == [1]
+        assert trace.records == []
+
 
 def _make_quality():
     """One finalized quality record from a synthetic monitored stream."""
@@ -136,11 +189,12 @@ class TestQualityRecords:
         quality = _make_quality()
         assert export_jsonl(_make_spans(), path, quality=quality) == 4
         assert validate_jsonl(path) == []
-        # Span readers skip the quality line; quality readers skip spans.
-        assert [s.name for s in load_jsonl(path)] == [
+        # Spans and kind-tagged records come back apart.
+        trace = read_trace(path)
+        assert [s.name for s in trace.spans] == [
             "build.sort", "build", "tick",
         ]
-        (record,) = load_quality_jsonl(path)
+        (record,) = trace.of_kind("quality")
         assert record["kind"] == "quality" and record["v"] == 1
         assert record["label"] == "q0"
         assert record["uniformity"]["samples"] == 400
@@ -290,3 +344,203 @@ class TestAnalyticsRecordValidation:
     def test_diff_bool_masquerading_as_count(self, tmp_path):
         record = dict(self.GOOD_DIFF, aligned=True)
         assert any("aligned" in e for e in self._validate(tmp_path, record))
+
+
+def _pinned_set():
+    """Spans with fixed clocks plus quality, exemplar, cost and metrics records."""
+    spans = []
+    for i in range(1, 41):
+        span = SpanRecord(f"op.{i % 5}", {
+            "leaf": i, "ratio": i / 7, "tag": "café" if i % 9 == 0 else None,
+        })
+        span.span_id = i
+        span.parent_id = None if i % 4 == 1 else i - 1
+        span.start_wall = 100.0 + i * 0.001
+        span.end_wall = span.start_wall + (i % 3) * 1e-4
+        if i % 2:
+            span.start_sim = i * 0.01
+            span.end_sim = span.start_sim + 0.1 + 0.2
+            span.page_reads = i
+            span.page_writes = i // 3
+        spans.append(span)
+    quality = [{
+        "kind": "quality", "v": 1, "label": "t0/q1", "group": "t0",
+        "lo": 1.0, "hi": 9.5, "batches": 3, "start_sim": 0.25, "end_sim": 1.0,
+        "degraded": False, "degraded_reason": None,
+        "uniformity": {"ok": True, "samples": 300, "chi2": 3.92},
+        "coverage": {"hit": 8, "strata": 8},
+        "estimator": {"n": 300, "mean": 0.5063593903144024, "timeline": [
+            {"clock": 0.25, "half_width": 0.056262657821144084, "n": 100},
+            {"clock": 0.5, "half_width": None, "n": 200},
+            {"clock": 1.0, "half_width": 0.02833808126563432, "n": 300},
+        ]},
+        "labels": {"tenant": "t0", "query": "q1"},
+    }]
+    extra = [
+        {"kind": "exemplar", "v": 1, "metric": "query.lat_sim_s", "bucket": 2,
+         "le": "+Inf", "value": 3.5, "span_id": 7, "labels": {"tenant": "t0"}},
+        {"kind": "cost", "v": 1, "page_reads": {"tenant=t0": 8},
+         "page_writes": {}, "retry_io_seconds": {}, "attributed_reads": 8,
+         "charged_reads": 8, "attributed_writes": 0, "charged_writes": 0,
+         "conserved": True},
+    ]
+    metrics = {"counters": {"b": 2, "a": 1}, "gauges": {"g": 0.1 + 0.2},
+               "histograms": {"h": {"bounds": [1.0, 2.0], "counts": [1, 0, 2],
+                                    "count": 3, "total": 4.5, "mean": 1.5}},
+               "labeled": {"counters": {"c": {"tenant=t0": 3}}}}
+    return spans, quality, extra, metrics
+
+
+def _many_spans(n):
+    spans = []
+    for i in range(1, n + 1):
+        span = SpanRecord("ace_query.stab", {"leaf": i % 2048, "pages": 1})
+        span.span_id = i
+        span.parent_id = None if i % 8 == 1 else i - 1
+        span.start_wall = 1000.0 + i * 1e-5
+        span.end_wall = span.start_wall + 3e-6
+        span.start_sim = i * 0.004
+        span.end_sim = span.start_sim + 0.004
+        span.page_reads = 1
+        spans.append(span)
+    return spans
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedFiles:
+    def test_files_are_byte_pinned(self, tmp_path):
+        """Digests taken from the exporters that built whole files in memory."""
+        spans, quality, extra, metrics = _pinned_set()
+        jsonl = tmp_path / "t.jsonl"
+        chrome = tmp_path / "t.chrome.json"
+        assert export_jsonl(spans, jsonl, quality=quality, metrics=metrics,
+                            extra=extra) == 44
+        assert export_chrome_trace(spans, chrome, quality=quality) == 64
+        assert hashlib.sha256(jsonl.read_bytes()).hexdigest() == (
+            "64d29277ce5bbd6b0a9ee0a1d0b55636e89ee445803950694c755f8a3c13b93c"
+        )
+        assert hashlib.sha256(chrome.read_bytes()).hexdigest() == (
+            "dc0e536ebe808e71aa586bf6939cdda5919056e294cbd3cb927cd83be99d71f8"
+        )
+        assert validate_jsonl(jsonl) == []
+
+    def test_chrome_file_is_the_dump_of_the_trace_object(self, tmp_path):
+        spans, quality, _, _ = _pinned_set()
+        path = tmp_path / "t.chrome.json"
+        export_chrome_trace(iter(spans), path, quality=quality)
+        assert path.read_text() == json.dumps(
+            to_chrome_trace(spans, quality=quality)) + "\n"
+
+    @pytest.mark.parametrize("export", [export_jsonl, export_chrome_trace])
+    def test_failed_export_leaves_the_previous_file(self, tmp_path, export):
+        path = tmp_path / "trace.out"
+        export(_make_spans(), path)
+        before = path.read_bytes()
+        bad = _make_spans()
+        bad[-1].attrs["handle"] = object()  # not JSON-serializable
+        with pytest.raises(TypeError):
+            export(bad, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.out"]
+
+    def test_peaks_stay_small_for_20k_spans(self, tmp_path):
+        spans = _many_spans(20_000)
+        jsonl = tmp_path / "t.jsonl"
+        chrome = tmp_path / "t.chrome.json"
+        assert _traced_peak(export_jsonl, spans, jsonl) < 1 << 20
+        assert _traced_peak(export_chrome_trace, spans, chrome) < 1 << 20
+        size = jsonl.stat().st_size
+        assert size > 4 << 20
+        assert _traced_peak(validate_jsonl, jsonl) < size
+
+
+def _reference_loads(path):
+    """The records a whole-file read returns: spans as dicts, and the last
+    metrics and cost records, the quality records and the exposition
+    events picked out the way the per-kind loaders picked them."""
+    objs = [json.loads(line) for line in path.read_text().split("\n")
+            if line.strip()]
+    spans = [o for o in objs if o.get("kind", "span") == "span"]
+    last = {}
+    for o in objs:
+        if o.get("kind") in ("metrics", "cost"):
+            last[o["kind"]] = {k: v for k, v in o.items() if k not in ("kind", "v")}
+    return {
+        "spans": spans,
+        "quality": [o for o in objs if o.get("kind") == "quality"],
+        "metrics": last.get("metrics"),
+        "cost": last.get("cost"),
+        "events": [o for o in objs if o.get("kind") in
+                   ("span", "metric", "fault", "quality")],
+    }
+
+
+def _as_dict(span):
+    out = {"name": span.name, "span_id": span.span_id,
+           "parent_id": span.parent_id, "start_wall": span.start_wall,
+           "end_wall": span.end_wall}
+    if span.start_sim is not None:
+        out.update(start_sim=span.start_sim, end_sim=span.end_sim,
+                   page_reads=span.page_reads, page_writes=span.page_writes)
+    if span.attrs:
+        out["attrs"] = span.attrs
+    return out
+
+
+class TestReadTrace:
+    def _check(self, path):
+        trace = read_trace(path)
+        ref = _reference_loads(path)
+        assert trace.errors == []
+        assert [_as_dict(s) for s in trace.spans] == [
+            {k: v for k, v in s.items() if k != "kind"} for s in ref["spans"]
+        ]
+        by_id = {s.span_id: s for s in trace.spans}
+        for span in trace.spans:
+            if span.parent_id in by_id:
+                assert span in by_id[span.parent_id].children
+        assert sum(len(s.children) for s in trace.spans) == sum(
+            s.parent_id in by_id for s in trace.spans)
+        assert trace.of_kind("quality") == ref["quality"]
+        assert trace.last("metrics") == ref["metrics"]
+        assert trace.last("cost") == ref["cost"]
+        assert [r for r in trace.records if r["kind"] in
+                ("span", "metric", "fault", "quality")] == ref["events"]
+        return trace, ref
+
+    def test_trace_query_file(self, tmp_path, capsys):
+        from repro.bench.cli import main
+
+        path = tmp_path / "trace.jsonl"
+        assert main(["trace", "query", "--out", str(path)]) == 0
+        trace, ref = self._check(path)
+        assert len(trace.spans) > 100
+        assert len(ref["quality"]) == 3
+        assert ref["metrics"] is not None and ref["cost"] is not None
+
+    def test_flight_dump(self, tmp_path):
+        with FLIGHT.recording(capacity=64):
+            with TRACER.span("flight.outer"):
+                with TRACER.span("flight.inner"):
+                    pass
+            FLIGHT.record_metric(
+                "query.records", "counter", 2, (("tenant", "t0"),))
+            FLIGHT.record_fault(
+                {"op": "read", "ordinal": 0, "kind": "transient", "page": 1})
+            events = FLIGHT.snapshot()
+        path = write_dump(events, tmp_path / "dump.jsonl", "test")
+        trace, ref = self._check(path)
+        assert [s.name for s in trace.spans] == ["flight.inner", "flight.outer"]
+        assert trace.spans[1].children == [trace.spans[0]]
+        assert [e["kind"] for e in ref["events"]] == [
+            "span", "span", "metric", "fault"]
+        assert trace.of_kind("flight")[0]["reason"] == "test"

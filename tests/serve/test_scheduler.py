@@ -1,5 +1,8 @@
 """ServeScheduler unit tests: determinism, fairness, budgets, accounting."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.acetree import AceBuildParams, build_ace_tree
@@ -11,11 +14,18 @@ from repro.serve.scheduler import (
 )
 from repro.serve.workload import Workload, WorkloadSpec
 from repro.storage import CostModel, HeapFile, SimulatedDisk
+from repro.testkit import FaultPlan, FaultyDisk
 from repro.testkit.generators import KV_SCHEMA, Scenario, make_records
 
 
-def _tree(n=500, height=4, page_size=512, seed=3):
-    disk = SimulatedDisk(page_size=page_size, cost=CostModel.scaled(page_size))
+def _tree(n=500, height=4, page_size=512, seed=3, plan=None):
+    if plan is None:
+        disk = SimulatedDisk(page_size=page_size,
+                             cost=CostModel.scaled(page_size))
+    else:
+        disk = FaultyDisk(page_size=page_size,
+                          cost=CostModel.scaled(page_size), plan=plan)
+        disk.armed = False  # faults strike the serving, not the build
     records = make_records(Scenario(
         seed=seed, n=n, key_range=1_000, distribution="uniform",
         height=height, arity=2, page_size=page_size, queries=(),
@@ -25,6 +35,8 @@ def _tree(n=500, height=4, page_size=512, seed=3):
         key_fields=("k",), height=height, arity=2, seed=seed,
     ))
     disk.reset_clock()
+    if plan is not None:
+        disk.armed = True
     return tree
 
 
@@ -167,6 +179,63 @@ class TestCompletionReasons:
         for stats in report.tenants.values():
             assert len(stats["tta"]) == stats["target_hits"]
             assert all(v >= 0 for v in stats["tta"])
+
+
+class _Watched(ServeScheduler):
+    """Keeps a weak reference to every stream it opens."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stream_refs = []
+
+    def _activate(self, state):
+        opening = state.active is None and bool(state.backlog)
+        run = super()._activate(state)
+        if opening:
+            self.stream_refs.append(weakref.ref(run.stream))
+        return run
+
+
+def _finished(scheduler):
+    return [run for state in scheduler.tenants.values()
+            for run in state.finished_runs]
+
+
+class TestFinishedRunsReleaseStreams:
+    """A finished run keeps no stream: memory follows the queries in flight."""
+
+    @pytest.mark.parametrize("config, reason", [
+        (ServeConfig(), "target"),
+        (ServeConfig(target_epsilon=None), "exhausted"),
+        (ServeConfig(target_epsilon=0.01, max_samples=30), "sample-cap"),
+        (ServeConfig(page_budget=20), "budget"),
+        (ServeConfig(max_steps=15), "horizon"),
+    ])
+    def test_every_stream_is_released(self, config, reason):
+        scheduler, _ = _run(config=config, scheduler_cls=_Watched)
+        runs = _finished(scheduler)
+        assert reason in {run.reason for run in runs}
+        assert len(scheduler.stream_refs) == len(runs) > 0
+        assert all(run.stream is None for run in runs)
+        gc.collect()
+        assert [ref() for ref in scheduler.stream_refs] == [None] * len(runs)
+
+    def test_lost_leaf_runs_stay_degraded(self):
+        tree = _tree(plan=FaultPlan(seed=1, rates={"read.transient": 0.5}))
+        config = ServeConfig(target_epsilon=None)
+        scheduler = ServeScheduler(tree, _workload(tree), config)
+        scheduler.run()
+        degraded = [run for run in _finished(scheduler) if run.degraded]
+        assert degraded, "a 50% transient rate must lose leaves"
+        assert all(run.monitor.degraded for run in degraded)
+        flagged = {record["label"] for record in scheduler.session.records()
+                   if record["degraded"]}
+        assert {f"{run.request.tenant}/{run.request.query_id}"
+                for run in degraded} <= flagged
+
+    def test_clean_runs_are_not_degraded(self):
+        scheduler, _ = _run(config=ServeConfig(target_epsilon=None))
+        assert not any(run.degraded for run in _finished(scheduler))
 
 
 class TestTargetValidation:

@@ -132,6 +132,22 @@ class TestBulkLoadPacked:
         heap = HeapFile.bulk_load_packed(disk, schema, [])
         assert heap.num_records == 0 and heap.num_pages == 0
 
+    def test_failing_input_frees_the_written_pages(self, disk, schema):
+        records = make_kv_records(100, seed=4)
+        blob = schema.pack_many(records)
+
+        def failing(items):
+            yield from items
+            raise RuntimeError("input failed")
+
+        before = disk.allocated_pages
+        with pytest.raises(RuntimeError):
+            HeapFile.bulk_load_packed(disk, schema, failing([blob]))
+        assert disk.allocated_pages == before
+        with pytest.raises(RuntimeError):
+            HeapFile.bulk_load(disk, schema, failing(records))
+        assert disk.allocated_pages == before
+
 
 class TestAppend:
     def test_append_buffers_until_page_full(self, disk, schema):

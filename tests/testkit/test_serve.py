@@ -64,6 +64,17 @@ class TestRunServeScenario:
         assert verdict.faults_active
         assert len(plan.injected) > 0
 
+    def test_lost_leaf_runs_reach_the_oracle_degraded(self):
+        # Retries exhaust at this rate, so leaves are lost and every
+        # stream comes up short: the oracle accepts that only from a
+        # stream that says it is degraded.
+        scenario = generate_serve_scenario(FAULTED_SEED)
+        plan = FaultPlan(seed=scenario.seed, rates={"read.transient": 0.5})
+        verdict, plan = run_serve_scenario(scenario, plan=plan)
+        assert verdict.ok, verdict.failure_lines
+        assert verdict.reports
+        assert all(report.degraded for report in verdict.reports)
+
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ValueError, match="unknown serve mutation"):
             run_serve_scenario(generate_serve_scenario(0), mutation="nonsense")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.acetree import AceBuildParams, build_ace_tree
 from repro.acetree.geometry import choose_height
-from repro.core.errors import SchemaError, SortError
+from repro.core.errors import SchemaError, SerializationError, SortError
 from repro.storage import CostModel, HeapFile, SimulatedDisk
 from repro.view import MaterializedSampleView, create_sample_view
 from repro.workloads.sale import generate_sale_1d
@@ -146,6 +146,24 @@ class TestRefresh:
         tree_before = v.tree
         v.refresh()
         assert v.tree is tree_before
+
+    def test_corrupt_leaf_fails_the_refresh(self, disk, kv_schema):
+        v = _refreshable_view(disk, kv_schema)
+        tree_before = v.tree
+        store = v.tree.leaf_store
+        last = store.num_leaves - 1
+        first_page, _ = store.leaf_page_span(last)
+        page = store._data_page_ids[first_page]
+        offset = store._offsets[last] - first_page * disk.page_size
+        blob = bytearray(disk.read_page(page))
+        blob[offset:offset + 4] = (10**6).to_bytes(4, "little")  # leaf index
+        disk.write_page(page, bytes(blob))
+        pages_before = disk.allocated_pages
+        with pytest.raises(SerializationError, match="corrupt leaf header"):
+            v.refresh()
+        assert v.tree is tree_before
+        assert v.delta_size == 50
+        assert disk.allocated_pages == pages_before
 
     def test_failed_refresh_frees_the_merged_heap(self, disk, kv_schema):
         v = _refreshable_view(disk, kv_schema)
