@@ -342,11 +342,10 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         # scan over every required interval.
         self._ready: list[int] = [0] * self._height
         self._arity = geometry.arity
-        self._done: set[tuple[int, int]] = set()
-        # The same doneness, as per-level flag arrays indexed by node
-        # number: the stab descent tests these (no tuple hashing on the
-        # hot path); the tuple set above stays authoritative for the
-        # sanitizers (analysis.check_stream walks it).
+        # Doneness as per-level flag arrays indexed by node number
+        # (``_done_flags[level - 1][index]``): a node is done once every
+        # leaf below it has been read.  The stab descent tests these, and
+        # analysis.check_stream checks each parent against its children.
         self._done_flags: list[bytearray] = [
             bytearray(geometry.arity ** s) for s in range(self._height)
         ]
@@ -730,9 +729,8 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
     def _mark_done(self, leaf_index: int) -> None:
         """Mark a leaf done and propagate doneness up the tree."""
         arity = self._arity
-        done, done_flags = self._done, self._done_flags
+        done_flags = self._done_flags
         level, index = self._height, leaf_index
-        done.add((level, index))
         done_flags[level - 1][index] = 1
         while level > 1:
             parent = index // arity
@@ -741,7 +739,6 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
             if not all(flags[base + c] for c in range(arity)):
                 break
             level, index = level - 1, parent
-            done.add((level, index))
             done_flags[level - 1][index] = 1
 
     # -- combine ---------------------------------------------------------------

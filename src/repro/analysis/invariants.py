@@ -177,7 +177,7 @@ def _domain_query(tree: "AceTree") -> "Box":
 
 
 def check_stream(stream: "SampleStream") -> None:
-    """Validate the live state of a sample stream (toggle bits, buffers)."""
+    """Validate a live sample stream: toggle bits, buffers and done flags."""
     arity = stream.tree.geometry.arity
     height = stream.tree.geometry.height
     for (level, index), pointer in stream._next_child.items():
@@ -199,11 +199,21 @@ def check_stream(stream: "SampleStream") -> None:
             f"stream reports {stream.stats.buffered_records} buffered "
             f"records, buckets hold {buffered}"
         )
-    for level, index in stream._done:
-        if not 1 <= level <= height:
-            _fail(f"done-set entry at invalid level {level}")
-        if not 0 <= index < arity ** (level - 1):
-            _fail(f"done-set entry ({level},{index}) out of range")
+    # An internal node is flagged done exactly when all its children are.
+    flags = stream._done_flags
+    for level in range(1, len(flags)):
+        parents, children = flags[level - 1], flags[level]
+        expected = children[0::arity]
+        for c in range(1, arity):
+            expected = bytes(map(min, expected, children[c::arity]))
+        if parents != expected:
+            index = next(i for i, (flag, want) in enumerate(zip(parents, expected))
+                         if flag != want)
+            if parents[index]:
+                _fail(f"node ({level},{index}) flagged done while a child "
+                      "is still live")
+            _fail(f"node ({level},{index}) not flagged done though all its "
+                  "children are")
 
 
 # ---------------------------------------------------------------------------

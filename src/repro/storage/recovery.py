@@ -91,23 +91,7 @@ def read_page_resilient(
     propagates — by then the fault is persistent as far as this reader is
     concerned.
     """
-    delay = policy.backoff
-    last_error: TransientPageError | None = None
-    for attempt in range(policy.max_attempts):
-        try:
-            return disk.read_page(pid)
-        except TransientPageError as exc:
-            last_error = exc
-            _count_retry()
-            if attempt + 1 >= policy.max_attempts:
-                break
-            disk.charge_io(delay)
-            if COST.enabled:
-                COST.record_io(delay)
-            delay *= policy.multiplier
-    assert last_error is not None
-    FLIGHT.trip("recovery-exhausted")
-    raise last_error
+    return _retried(disk, disk.read_page, pid, policy)
 
 
 def touch_page_resilient(
@@ -122,12 +106,16 @@ def touch_page_resilient(
     the real read, so transient faults fire at the same ordinals and are
     retried (and backoff-charged) exactly as a data-bearing read would be.
     """
+    _retried(disk, disk.touch_page, pid, policy)
+
+
+def _retried(disk: SimulatedDisk, access, pid: int, policy: RetryPolicy):
+    """``access(pid)`` under ``policy``: the one retry loop of both readers."""
     delay = policy.backoff
     last_error: TransientPageError | None = None
     for attempt in range(policy.max_attempts):
         try:
-            disk.touch_page(pid)
-            return
+            return access(pid)
         except TransientPageError as exc:
             last_error = exc
             _count_retry()

@@ -123,16 +123,19 @@ class SampleCache:  # repro: shared[owner=serve.scheduler] single-writer LRU; sa
 
         Re-inserting an existing key replaces its value and byte charge.
         Entries that alone exceed the budget are not admitted (inserting
-        then immediately evicting them would just churn the LRU chain).
+        then immediately evicting them would just churn the LRU chain); a
+        refused re-insert still drops the key's old value.
         """
         if nbytes < 0:
             raise BufferPoolError(f"nbytes must be non-negative, got {nbytes}")
-        if nbytes > self.budget_bytes:
-            return
         entries = self._entries
         old = entries.pop(key, None)
         if old is not None:
             self.stats.bytes_cached -= old[1]
+        if nbytes > self.budget_bytes:
+            if old is not None and TRACER.enabled:
+                METRICS.gauge("sample_cache.bytes").set(self.stats.bytes_cached)
+            return
         while self.stats.bytes_cached + nbytes > self.budget_bytes and entries:
             _, (_, dropped) = entries.popitem(last=False)
             self.stats.bytes_cached -= dropped

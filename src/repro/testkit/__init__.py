@@ -21,12 +21,13 @@ automatically instead of waiting for a bad seed:
   against a brute-force in-memory reference: exact result-set containment,
   duplicate detection, clock monotonicity, and statistical prefix
   uniformity.
-* :mod:`repro.testkit.harness` — the fuzz loop racing the ACE Tree,
-  B+-Tree, and permuted-file samplers against the oracle under clean and
-  fault-injected runs plus a cold-then-warm sample-cache pass, with
-  deliberately-broken mutant modes (Combine drops cells; the cache serves
-  stale entries) for validating the oracle itself.
-* :mod:`repro.testkit.serve` — the serve-mode twin (``fuzz --serve``):
+* :mod:`repro.testkit.harness` — the one fuzz loop, replay payload,
+  ``replay`` and verdict for both scenario kinds.  Classic scenarios race
+  the ACE Tree, B+-Tree, and permuted-file samplers against the oracle
+  under clean and fault-injected runs plus a cold-then-warm sample-cache
+  pass, with deliberately-broken mutant modes (Combine drops cells; the
+  cache serves stale entries) for validating the oracle itself.
+* :mod:`repro.testkit.serve` — the serve kind (``fuzz --serve``):
   seeded multi-tenant scenarios race the deterministic serve scheduler
   against solo runs of the same queries (scheduling must never leak
   into results), plus fairness/accounting checks and the
@@ -53,12 +54,9 @@ from .serve import (
     SERVE_MUTATIONS,
     BudgetLeakScheduler,
     ServeScenario,
-    ServeVerdict,
     UnfairScheduler,
     fairness_bound,
-    fuzz_serve,
     generate_serve_scenario,
-    replay_serve,
     run_serve_scenario,
 )
 from .stats import ChiSquareResult, assert_uniform, chi_square, prefix_vs_population
@@ -77,7 +75,6 @@ __all__ = [
     "Scenario",
     "ScenarioVerdict",
     "ServeScenario",
-    "ServeVerdict",
     "StaleSampleCache",
     "UnfairScheduler",
     "assert_uniform",
@@ -85,14 +82,12 @@ __all__ = [
     "chi_square",
     "fairness_bound",
     "fuzz",
-    "fuzz_serve",
     "generate_scenario",
     "generate_serve_scenario",
     "make_records",
     "prefix_vs_population",
     "reference_matching",
     "replay",
-    "replay_serve",
     "run_scenario",
     "run_serve_scenario",
 ]

@@ -18,8 +18,8 @@ replay payload (JSON) so the exact fault sequence can be re-run::
 ``--serve`` switches to the serve-scheduler oracle
 (:mod:`repro.testkit.serve`): seeded multi-tenant scenarios race the
 deterministic scheduler against isolated sequential runs of the same
-queries.  Serve replay payloads carry ``mode="serve"`` and ``replay``
-dispatches on it automatically.
+queries.  Serve replay payloads carry ``mode="serve"``, which ``replay``
+dispatches on; a payload with any other mode is rejected (exit ``2``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 from ..obs.flight import write_dump
 from .faults import FaultPlanError
 from .harness import MUTATIONS, fuzz, replay
-from .serve import SERVE_MUTATIONS, fuzz_serve, replay_serve
+from .serve import SERVE_MUTATIONS
 
 __all__ = ["add_testkit_parser", "run_testkit"]
 
@@ -91,14 +91,14 @@ def _run_fuzz(args) -> int:
         print(f"testkit fuzz: --mutation {args.mutation} is a sampler "
               "mutation; drop --serve", file=sys.stderr)
         return 2
-    engine = fuzz_serve if args.serve else fuzz
-    report = engine(
+    report = fuzz(
         seed=args.seed,
         iterations=args.iterations,
         with_faults=not args.no_faults,
         mutation=args.mutation,
         max_failures=args.max_failures,
         sanitize=True if args.sanitize_access else None,
+        serve=args.serve,
     )
     print(f"testkit fuzz: seed={report.seed} scenarios={report.scenarios_run} "
           f"queries={report.queries_checked} "
@@ -136,10 +136,9 @@ def _diff_replay_flight(first: dict) -> None:
     from ..obs.flight import FLIGHT
 
     recorded = first["flight"]["events"]
-    replayer = replay_serve if first.get("mode") == "serve" else replay
     try:
         with FLIGHT.recording():
-            replayer(first)
+            replay(first)
             FLIGHT.trip(first["flight"]["reason"])
             replayed = FLIGHT.snapshot()
     except (ValueError, FaultPlanError, KeyError) as exc:
@@ -162,9 +161,8 @@ def _run_replay(args) -> int:
         print(f"testkit replay: cannot read {args.payload}: {exc}",
               file=sys.stderr)
         return 2
-    replayer = replay_serve if payload.get("mode") == "serve" else replay
     try:
-        verdict, plan = replayer(payload)
+        verdict, plan = replay(payload)
     except (ValueError, FaultPlanError, KeyError) as exc:
         print(f"testkit replay: malformed payload: {exc}", file=sys.stderr)
         return 2

@@ -36,12 +36,17 @@ context, and single-writer-per-tick plus episode-confinement are asserted
 throughout.  Clean scenarios must pass with it armed — that is the
 runtime proof that the ``shared[confined]`` annotations the program
 analyzer accepts are honest.
+
+Serve scenarios (:mod:`repro.testkit.serve`) are the harness's second
+kind: ``fuzz(serve=True)`` runs them through the same loop, and their
+payloads carry ``mode="serve"``, which :func:`replay` dispatches on.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from ..acetree import AceBuildParams, build_ace_tree
 from ..acetree.query import SampleStream
@@ -56,6 +61,9 @@ from ..storage.sample_cache import SampleCache
 from .faults import FaultPlan, FaultyDisk
 from .generators import KV_SCHEMA, Scenario, generate_scenario, make_records
 from .oracle import DifferentialReport, check_stream, reference_matching
+
+if TYPE_CHECKING:  # pragma: no cover - the serve runner imports this module
+    from .serve import ServeScenario
 
 __all__ = [
     "MUTATIONS",
@@ -130,20 +138,28 @@ class StaleSampleCache(SampleCache):
 
 @dataclass
 class ScenarioVerdict:
-    """The oracle's judgement of one scenario under one fault plan."""
+    """The oracle's judgement of one scenario under one fault plan.
 
-    scenario: Scenario
+    One type for both scenario kinds: a classic run may set
+    ``build_aborted``; a serve run fills ``scheduler_failures`` and
+    ``serve_report``.
+    """
+
+    scenario: Scenario | ServeScenario
     faults_active: bool
     mutation: str | None = None
     build_aborted: str | None = None
     reports: list[DifferentialReport] = field(default_factory=list)
+    scheduler_failures: list[str] = field(default_factory=list)
     injected: int = 0
+    serve_report: dict | None = None
 
     @property
     def failure_lines(self) -> list[str]:
         lines: list[str] = []
         if self.build_aborted and not self.faults_active:
             lines.append(f"build aborted without faults: {self.build_aborted}")
+        lines.extend(self.scheduler_failures)
         for report in self.reports:
             for message in report.failures:
                 lines.append(f"{report.sampler} {report.query}: {message}")
@@ -153,16 +169,20 @@ class ScenarioVerdict:
     def ok(self) -> bool:
         return not self.failure_lines
 
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.as_dict(),
-            "faults_active": self.faults_active,
-            "mutation": self.mutation,
-            "build_aborted": self.build_aborted,
-            "injected": self.injected,
-            "reports": [r.as_dict() for r in self.reports],
-            "failures": self.failure_lines,
-        }
+
+def _arm_sanitizer(tree) -> AccessOrdinalSanitizer:
+    """A sanitizer on the tree's disk clock, wrapping its two shared memos.
+
+    Armed *after* the build: the builders own the structures exclusively,
+    the query phases are what must prove confinement.
+    """
+    sanitizer = AccessOrdinalSanitizer(lambda: tree.disk.clock)
+    tree._overlap_memo = sanitizer.wrap_dict(
+        "AceTree._overlap_memo", tree._overlap_memo)
+    tree.leaf_store._memo = sanitizer.wrap(
+        "LeafStore.decode_memo", tree.leaf_store._memo,
+        write_ops=("put", "clear"), read_ops=("get",))
+    return sanitizer
 
 
 def run_scenario(
@@ -214,16 +234,7 @@ def run_scenario(
         verdict.injected = len(plan.injected)
         return verdict, plan
 
-    sanitizer: AccessOrdinalSanitizer | None = None
-    if sanitize:
-        # Instrument *after* the build: the builders own the structures
-        # exclusively, the query phases are what must prove confinement.
-        sanitizer = AccessOrdinalSanitizer(lambda: disk.clock)
-        tree._overlap_memo = sanitizer.wrap_dict(
-            "AceTree._overlap_memo", tree._overlap_memo)
-        tree.leaf_store._memo = sanitizer.wrap(
-            "LeafStore.decode_memo", tree.leaf_store._memo,
-            write_ops=("put", "clear"), read_ops=("get",))
+    sanitizer = _arm_sanitizer(tree) if sanitize else None
 
     if mutation == "shared-memo":
         verdict.reports.append(
@@ -232,6 +243,7 @@ def run_scenario(
         return verdict, plan
 
     degraded_ok = plan.active
+    policy = "skip" if degraded_ok else "raise"
     for query_index, (lo, hi) in enumerate(scenario.queries):
         box = tree.query((lo, hi))
         matching = reference_matching(records, box)
@@ -240,13 +252,8 @@ def run_scenario(
         def make_ace():
             if mutation == "combine-drop":
                 return BrokenCombineStream(
-                    tree, box, seed=seed,
-                    lost_leaf_policy="skip" if degraded_ok else "raise",
-                )
-            return tree.sample(
-                box, seed=seed,
-                lost_leaf_policy="skip" if degraded_ok else "raise",
-            )
+                    tree, box, seed=seed, lost_leaf_policy=policy)
+            return tree.sample(box, seed=seed, lost_leaf_policy=policy)
 
         streams = [
             ("ace", make_ace),
@@ -277,7 +284,6 @@ def run_scenario(
             box = tree.query((lo, hi))
             matching = reference_matching(records, box)
             seed = scenario.seed + query_index
-            policy = "skip" if degraded_ok else "raise"
             for name in ("ace-populate", "ace-warm"):
                 def make_cached():
                     return tree.sample(box, seed=seed, lost_leaf_policy=policy)
@@ -303,18 +309,12 @@ def _checked_stream(sanitizer, writer_tag, name, make_stream, matching,
     where aborted streams are otherwise tolerated: faults never excuse a
     confinement violation.
     """
+    owner = sanitizer.writer(writer_tag) if sanitizer is not None else nullcontext()
     try:
-        if sanitizer is not None:
-            with sanitizer.writer(writer_tag):
-                stream = make_stream()
-                report = check_stream(
-                    name, stream, matching, query=query,
-                    degraded_ok=degraded_ok,
-                )
-        else:
-            stream = make_stream()
+        with owner:
             report = check_stream(
-                name, stream, matching, query=query, degraded_ok=degraded_ok
+                name, make_stream(), matching, query=query,
+                degraded_ok=degraded_ok,
             )
     except InvariantViolation as exc:
         report = DifferentialReport(sampler=name, query=query,
@@ -366,8 +366,35 @@ def _shared_memo_mutant(tree, scenario: Scenario,
     return report
 
 
-def _replay_payload(scenario, plan, mutation, verdict, fuzz_seed, iteration,
-                    phase, sanitize=None) -> dict:
+@dataclass(frozen=True)
+class _Kind:
+    """Everything that differs between the harness's two scenario kinds."""
+
+    generate: Callable      # (seed, with_faults=) -> scenario
+    run: Callable           # (scenario, plan=, mutation=, sanitize=) -> (verdict, plan)
+    scenario_type: type     # rebuilds the scenario from a payload
+    rng_tag: str            # the fuzz run's case-seed stream
+    trip_reason: str        # flight-recorder trip reason, before ":<phase>"
+    mode: str | None        # the payload's "mode" (absent when None)
+
+
+def _kinds() -> dict[bool, _Kind]:
+    """The two scenario kinds, keyed by ``serve``.
+
+    Built on use: the serve runner imports this module.
+    """
+    from .serve import ServeScenario, generate_serve_scenario, run_serve_scenario
+
+    return {
+        False: _Kind(generate_scenario, run_scenario, Scenario,
+                     "testkit-fuzz", "oracle-failure", None),
+        True: _Kind(generate_serve_scenario, run_serve_scenario, ServeScenario,
+                    "testkit-serve-fuzz", "serve-oracle-failure", "serve"),
+    }
+
+
+def _replay_payload(kind, scenario, plan, mutation, verdict, flight,
+                    fuzz_seed, iteration, phase, sanitize) -> dict:
     payload = {
         "v": REPLAY_VERSION,
         "kind": "testkit-replay",
@@ -378,10 +405,14 @@ def _replay_payload(scenario, plan, mutation, verdict, fuzz_seed, iteration,
         "scenario": scenario.as_dict(),
         "plan": plan.to_replay().as_dict(),
         "failures": verdict.failure_lines,
+        # Optional keys from here on: version-1 payloads without them
+        # replay unchanged.  replay() ignores the flight window, and the
+        # runners re-derive sanitize's default from the mutation.
+        "flight": flight,
     }
+    if kind.mode is not None:
+        payload["mode"] = kind.mode
     if sanitize is not None:
-        # Optional key: version-1 payloads without it replay unchanged
-        # (run_scenario re-derives the default from the mutation).
         payload["sanitize"] = sanitize
     return payload
 
@@ -410,18 +441,22 @@ def fuzz(
     mutation: str | None = None,
     max_failures: int = 8,
     sanitize: bool | None = None,
+    serve: bool = False,
 ) -> FuzzReport:
     """Run ``iterations`` generated scenarios, clean and (optionally) faulted.
 
-    Each failing run is captured as a replay payload in
+    ``serve=True`` fuzzes serve scenarios with the solo-vs-interleaved
+    oracle (:mod:`repro.testkit.serve`) instead of the sampler race.  Each
+    failing run is captured as a replay payload in
     :attr:`FuzzReport.failures`; the run stops early once ``max_failures``
     cases are collected (a broken engine would otherwise fail every case).
     """
+    kind = _kinds()[serve]
     report = FuzzReport(seed=seed, iterations=iterations, mutation=mutation)
-    case_rng = derive_random(seed, "testkit-fuzz")
+    case_rng = derive_random(seed, kind.rng_tag)
     for iteration in range(iterations):
         case_seed = case_rng.getrandbits(32)
-        scenario = generate_scenario(case_seed, with_faults=with_faults)
+        scenario = kind.generate(case_seed, with_faults=with_faults)
         phases: list[tuple[str, FaultPlan]] = [("clean", FaultPlan())]
         if with_faults and scenario.rates:
             phases.append(
@@ -433,11 +468,11 @@ def fuzz(
             # attached to the replay payload.  Recording is read-only on
             # the simulated clock, so verdicts are unaffected.
             with FLIGHT.recording():
-                verdict, plan = run_scenario(
+                verdict, plan = kind.run(
                     scenario, plan=plan, mutation=mutation, sanitize=sanitize)
                 flight = None
                 if not verdict.ok:
-                    reason = f"oracle-failure:{phase}"
+                    reason = f"{kind.trip_reason}:{phase}"
                     FLIGHT.trip(reason)
                     flight = {
                         "v": FLIGHT_VERSION,
@@ -449,15 +484,11 @@ def fuzz(
             report.queries_checked += len(verdict.reports)
             report.injected_events += len(plan.injected)
             if not verdict.ok:
-                payload = _replay_payload(
-                    scenario, plan, mutation, verdict,
+                report.failures.append(_replay_payload(
+                    kind, scenario, plan, mutation, verdict, flight,
                     fuzz_seed=seed, iteration=iteration, phase=phase,
                     sanitize=sanitize,
-                )
-                # Optional key: version-1 payloads without it replay
-                # unchanged; replay() ignores it entirely.
-                payload["flight"] = flight
-                report.failures.append(payload)
+                ))
                 if len(report.failures) >= max_failures:
                     return report
     return report
@@ -466,16 +497,24 @@ def fuzz(
 def replay(payload: dict) -> tuple[ScenarioVerdict, FaultPlan]:
     """Re-run a replay payload: identical faults, deterministic verdict.
 
-    The returned plan's ``injected`` list should match the payload's
-    recorded events exactly — the CLI checks this and reports any drift
-    (which would mean the workload is no longer access-for-access
-    identical, e.g. after a code change).
+    The payload's ``mode`` names its kind: absent for a classic scenario,
+    ``"serve"`` for a serve one, whose plan re-fires each recorded event at
+    its ``(op, tenant scope, ordinal)`` slot however the runs interleave.
+    Any other mode is rejected.  The returned plan's ``injected`` list
+    should match the payload's recorded events exactly — the CLI checks
+    this and reports any drift (which would mean the workload is no longer
+    access-for-access identical, e.g. after a code change).
     """
     if not isinstance(payload, dict) or payload.get("kind") != "testkit-replay":
         raise ValueError("not a testkit replay payload")
     if payload.get("v") != REPLAY_VERSION:
         raise ValueError(f"unsupported replay payload version {payload.get('v')!r}")
-    scenario = Scenario.from_dict(payload["scenario"])
+    mode = payload.get("mode")
+    if "mode" in payload and mode != "serve":
+        raise ValueError(f"unknown replay payload mode {mode!r}: a serve-mode "
+                         "payload has mode 'serve', a classic one no mode")
+    kind = _kinds()[mode == "serve"]
+    scenario = kind.scenario_type.from_dict(payload["scenario"])
     plan = FaultPlan.from_dict(payload["plan"])
-    return run_scenario(scenario, plan=plan, mutation=payload.get("mutation"),
-                        sanitize=payload.get("sanitize"))
+    return kind.run(scenario, plan=plan, mutation=payload.get("mutation"),
+                    sanitize=payload.get("sanitize"))

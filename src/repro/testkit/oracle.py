@@ -52,14 +52,6 @@ class DifferentialReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def as_dict(self) -> dict:
-        return {
-            "sampler": self.sampler, "query": list(self.query),
-            "emitted": self.emitted, "expected": self.expected,
-            "degraded": self.degraded, "aborted": self.aborted,
-            "failures": list(self.failures),
-        }
-
 
 def reference_matching(records, box) -> list:
     """Brute-force scan: the records matching ``box`` on their key.

@@ -1,11 +1,13 @@
-"""Serve-mode fuzzing: the solo-vs-interleaved differential oracle.
+"""Serve scenarios: the solo-vs-interleaved differential oracle.
 
 ``python -m repro testkit fuzz --serve`` races the deterministic
 multi-tenant scheduler (:class:`repro.serve.scheduler.ServeScheduler`)
 against N isolated sequential runs of the same queries.  One
 :class:`ServeScenario` fixes everything — dataset, tree shape, tenant
-count, traffic shape, fault rates — from a single seed, so a failing case
-serializes to a small replay payload exactly like the classic harness.
+count, traffic shape, fault rates — from a single seed.  This module is
+the serve kind of :mod:`repro.testkit.harness`: the harness's one
+``fuzz`` loop runs it, and a failing case serializes to a ``mode="serve"``
+payload that the one ``replay`` re-runs.
 
 The oracle judges one interleaved run on five axes:
 
@@ -43,31 +45,26 @@ from dataclasses import dataclass, field
 
 from ..acetree import AceBuildParams, build_ace_tree
 from ..acetree.query import SampleStream
-from ..analysis.invariants import AccessOrdinalSanitizer
 from ..core.errors import InvariantViolation, ReproError
 from ..core.intervals import Box
 from ..core.rng import derive_random
 from ..obs.cost import COST
-from ..obs.flight import FLIGHT, FLIGHT_VERSION
 from ..serve.scheduler import ServeConfig, ServeScheduler
 from ..serve.workload import WORKLOAD_SHAPES, Workload, WorkloadSpec
 from ..storage.cost import CostModel
 from ..storage.heapfile import HeapFile
 from .faults import FaultPlan, FaultyDisk
 from .generators import DISTRIBUTIONS, KV_SCHEMA, Scenario, make_records
-from .harness import REPLAY_VERSION, FuzzReport
+from .harness import ScenarioVerdict, _arm_sanitizer
 from .oracle import DifferentialReport, check_stream, reference_matching
 
 __all__ = [
     "SERVE_MUTATIONS",
     "BudgetLeakScheduler",
     "ServeScenario",
-    "ServeVerdict",
     "UnfairScheduler",
     "fairness_bound",
-    "fuzz_serve",
     "generate_serve_scenario",
-    "replay_serve",
     "run_serve_scenario",
 ]
 
@@ -234,41 +231,6 @@ class BudgetLeakScheduler(ServeScheduler):
 # -- running one scenario ---------------------------------------------------
 
 
-@dataclass
-class ServeVerdict:
-    """The serve oracle's judgement of one scenario under one fault plan."""
-
-    scenario: ServeScenario
-    faults_active: bool
-    mutation: str | None = None
-    reports: list[DifferentialReport] = field(default_factory=list)
-    scheduler_failures: list[str] = field(default_factory=list)
-    injected: int = 0
-    serve_report: dict | None = None
-
-    @property
-    def failure_lines(self) -> list[str]:
-        lines = list(self.scheduler_failures)
-        for report in self.reports:
-            for message in report.failures:
-                lines.append(f"{report.sampler} {report.query}: {message}")
-        return lines
-
-    @property
-    def ok(self) -> bool:
-        return not self.failure_lines
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.as_dict(),
-            "faults_active": self.faults_active,
-            "mutation": self.mutation,
-            "injected": self.injected,
-            "reports": [r.as_dict() for r in self.reports],
-            "failures": self.failure_lines,
-        }
-
-
 class _DrainedStream(list):
     """Pre-drained batches with the ``degraded`` flag ``check_stream`` reads."""
 
@@ -360,7 +322,7 @@ def run_serve_scenario(
     plan: FaultPlan | None = None,
     mutation: str | None = None,
     sanitize: bool | None = None,
-) -> tuple[ServeVerdict, FaultPlan]:
+) -> tuple[ScenarioVerdict, FaultPlan]:
     """Run one interleaved serve and judge it against its solo twins.
 
     Returns the verdict together with the plan actually used (whose
@@ -375,7 +337,7 @@ def run_serve_scenario(
     plan = plan if plan is not None else FaultPlan(
         seed=scenario.seed, rates=dict(scenario.rates)
     )
-    verdict = ServeVerdict(
+    verdict = ScenarioVerdict(
         scenario=scenario, faults_active=plan.active, mutation=mutation
     )
 
@@ -390,14 +352,9 @@ def run_serve_scenario(
         lost_leaf_policy="skip",
     )
 
-    step_guard = None
+    step_guard = nullcontext
     if sanitize:
-        sanitizer = AccessOrdinalSanitizer(lambda: tree.disk.clock)
-        tree._overlap_memo = sanitizer.wrap_dict(
-            "AceTree._overlap_memo", tree._overlap_memo)
-        tree.leaf_store._memo = sanitizer.wrap(
-            "LeafStore.decode_memo", tree.leaf_store._memo,
-            write_ops=("put", "clear"), read_ops=("get",))
+        sanitizer = _arm_sanitizer(tree)
         step_guard = lambda: sanitizer.writer("serve-scheduler")
 
     scheduler_cls = {
@@ -412,7 +369,7 @@ def run_serve_scenario(
         scheduler = scheduler_cls(
             tree, workload, config,
             collect_records=True,
-            step_guard=step_guard if step_guard is not None else nullcontext,
+            step_guard=step_guard,
         )
         report = scheduler.run()
     except InvariantViolation as exc:
@@ -505,103 +462,3 @@ def run_serve_scenario(
             ))
     verdict.injected = len(plan.injected)
     return verdict, plan
-
-
-# -- the fuzz loop ----------------------------------------------------------
-
-
-def _serve_payload(scenario, plan, mutation, verdict, fuzz_seed, iteration,
-                   phase, sanitize=None) -> dict:
-    payload = {
-        "v": REPLAY_VERSION,
-        "kind": "testkit-replay",
-        "mode": "serve",
-        "fuzz_seed": fuzz_seed,
-        "iteration": iteration,
-        "phase": phase,
-        "mutation": mutation,
-        "scenario": scenario.as_dict(),
-        "plan": plan.to_replay().as_dict(),
-        "failures": verdict.failure_lines,
-    }
-    if sanitize is not None:
-        payload["sanitize"] = sanitize
-    return payload
-
-
-def fuzz_serve(
-    seed: int = 0,
-    iterations: int = 10,
-    with_faults: bool = True,
-    mutation: str | None = None,
-    max_failures: int = 8,
-    sanitize: bool | None = None,
-) -> FuzzReport:
-    """Run ``iterations`` serve scenarios, clean and (optionally) faulted.
-
-    The serve twin of :func:`repro.testkit.harness.fuzz`: each failing
-    case is captured as a ``mode="serve"`` replay payload with the flight
-    recorder's last-moments window attached.
-    """
-    report = FuzzReport(seed=seed, iterations=iterations, mutation=mutation)
-    case_rng = derive_random(seed, "testkit-serve-fuzz")
-    for iteration in range(iterations):
-        case_seed = case_rng.getrandbits(32)
-        scenario = generate_serve_scenario(case_seed, with_faults=with_faults)
-        phases: list[tuple[str, FaultPlan]] = [("clean", FaultPlan())]
-        if with_faults and scenario.rates:
-            phases.append(
-                ("faulted", FaultPlan(seed=case_seed, rates=scenario.rates))
-            )
-        for phase, plan in phases:
-            with FLIGHT.recording():
-                verdict, plan = run_serve_scenario(
-                    scenario, plan=plan, mutation=mutation, sanitize=sanitize)
-                flight = None
-                if not verdict.ok:
-                    reason = f"serve-oracle-failure:{phase}"
-                    FLIGHT.trip(reason)
-                    flight = {
-                        "v": FLIGHT_VERSION,
-                        "reason": reason,
-                        "events": FLIGHT.snapshot(),
-                        "dropped": FLIGHT.dropped,
-                    }
-            report.scenarios_run += 1
-            report.queries_checked += len(verdict.reports)
-            report.injected_events += len(plan.injected)
-            if not verdict.ok:
-                payload = _serve_payload(
-                    scenario, plan, mutation, verdict,
-                    fuzz_seed=seed, iteration=iteration, phase=phase,
-                    sanitize=sanitize,
-                )
-                payload["flight"] = flight
-                report.failures.append(payload)
-                if len(report.failures) >= max_failures:
-                    return report
-    return report
-
-
-def replay_serve(payload: dict) -> tuple[ServeVerdict, FaultPlan]:
-    """Re-run a serve replay payload: identical faults, deterministic verdict.
-
-    The rebuilt plan replays the recorded events at their ``(op, tenant
-    scope, ordinal)`` slots, so the same faults strike the same accesses
-    regardless of how the interleaving would have re-randomized a global
-    ordinal — that is what makes serve failures replay fault-for-fault.
-    """
-    if not isinstance(payload, dict) or payload.get("kind") != "testkit-replay":
-        raise ValueError("not a testkit replay payload")
-    if payload.get("mode") != "serve":
-        raise ValueError("not a serve-mode replay payload")
-    if payload.get("v") != REPLAY_VERSION:
-        raise ValueError(
-            f"unsupported replay payload version {payload.get('v')!r}"
-        )
-    scenario = ServeScenario.from_dict(payload["scenario"])
-    plan = FaultPlan.from_dict(payload["plan"])
-    return run_serve_scenario(
-        scenario, plan=plan, mutation=payload.get("mutation"),
-        sanitize=payload.get("sanitize"),
-    )

@@ -126,8 +126,22 @@ class TestCheckStream:
         _records, tree = built
         stream = tree.sample(tree.query(None), seed=0)
         next(stream)
-        stream._done.add((0, 0))
-        with pytest.raises(InvariantViolation, match="done-set"):
+        flags = stream._done_flags
+        assert not all(flags[1]), "a child of the root must still be live"
+        flags[0][0] = 1  # the root flagged done too early
+        with pytest.raises(InvariantViolation, match="done while a child"):
+            check_stream(stream)
+
+    def test_unflagged_finished_parent_detected(self, built):
+        _records, tree = built
+        stream = tree.sample(tree.query(None), seed=0)
+        next(stream)
+        flags = stream._done_flags
+        arity = tree.geometry.arity
+        live = flags[-2].index(0)
+        for child in range(arity * live, arity * live + arity):
+            flags[-1][child] = 1  # every child done, the parent not flagged
+        with pytest.raises(InvariantViolation, match="not flagged done"):
             check_stream(stream)
 
 
@@ -145,7 +159,7 @@ class _CannedStream:
         self._records = records
         self._next_child = {}
         self._buckets = []
-        self._done = set()
+        self._done_flags = []
         self.stats = _FrozenStats()
 
     def __iter__(self):

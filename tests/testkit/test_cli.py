@@ -28,6 +28,7 @@ class TestFuzzExitCodes:
         assert "FAIL" in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert payload["kind"] == "testkit-replay"
+        assert "mode" not in payload
         assert payload["mutation"] == "combine-drop"
         assert payload["failures"]
 
@@ -86,6 +87,22 @@ class TestReplayExitCodes:
         bad = tmp_path / "other.json"
         bad.write_text(json.dumps({"kind": "benchmark-result"}))
         assert main(["testkit", "replay", str(bad)]) == 2
+
+    def test_non_object_payload_exits_two(self, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text(json.dumps([1, 2]))
+        assert main(["testkit", "replay", str(bad)]) == 2
+
+    @pytest.mark.parametrize("mode", [None, "classic", "bogus"])
+    def test_unknown_mode_exits_two(self, tmp_path, capsys, mode):
+        # A mode other than "serve" must not replay as a classic payload.
+        out = self._recorded_failure(tmp_path)
+        payload = json.loads(out.read_text())
+        payload["mode"] = mode
+        out.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["testkit", "replay", str(out)]) == 2
+        assert "unknown replay payload mode" in capsys.readouterr().err
 
     def test_tampered_verdict_detected(self, tmp_path, capsys):
         out = self._recorded_failure(tmp_path)

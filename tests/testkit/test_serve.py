@@ -6,9 +6,9 @@ from repro.testkit import (
     FaultPlan,
     ServeScenario,
     fairness_bound,
-    fuzz_serve,
+    fuzz,
     generate_serve_scenario,
-    replay_serve,
+    replay,
     run_serve_scenario,
 )
 
@@ -109,7 +109,7 @@ class TestMutants:
 
 class TestFuzzServe:
     def test_clean_mini_fuzz_passes(self):
-        report = fuzz_serve(seed=0, iterations=2)
+        report = fuzz(seed=0, iterations=2, serve=True)
         assert report.ok, report.failures
         assert report.scenarios_run >= 2
         assert report.queries_checked > 0
@@ -117,8 +117,8 @@ class TestFuzzServe:
     def test_both_mutants_caught_with_replay_payloads(self):
         for mutation, marker in (("unfair-scheduler", "fairness:"),
                                  ("budget-leak", "budget-audit:")):
-            report = fuzz_serve(seed=0, iterations=1, with_faults=False,
-                                mutation=mutation, max_failures=1)
+            report = fuzz(seed=0, iterations=1, with_faults=False,
+                          mutation=mutation, max_failures=1, serve=True)
             assert not report.ok, mutation
             payload = report.failures[0]
             assert payload["mode"] == "serve"
@@ -129,10 +129,10 @@ class TestFuzzServe:
 
 class TestReplayServe:
     def test_fuzz_payload_replays_verdict_for_verdict(self):
-        report = fuzz_serve(seed=0, iterations=1, with_faults=False,
-                            mutation="unfair-scheduler", max_failures=1)
+        report = fuzz(seed=0, iterations=1, with_faults=False,
+                      mutation="unfair-scheduler", max_failures=1, serve=True)
         payload = report.failures[0]
-        verdict, plan = replay_serve(payload)
+        verdict, plan = replay(payload)
         assert verdict.failure_lines == payload["failures"]
         assert [e.as_dict() for e in plan.injected] == (
             payload["plan"]["events"]
@@ -155,19 +155,22 @@ class TestReplayServe:
             "plan": plan.to_replay().as_dict(),
             "failures": first.failure_lines,
         }
-        second, replan = replay_serve(payload)
+        second, replan = replay(payload)
         assert second.failure_lines == first.failure_lines
         assert ([e.as_dict() for e in replan.injected]
                 == [e.as_dict() for e in plan.injected])
 
     def test_wrong_mode_rejected(self):
-        with pytest.raises(ValueError, match="serve-mode"):
-            replay_serve({"v": 1, "kind": "testkit-replay", "mode": None})
+        # A classic payload has no mode at all; a mode that is set must
+        # be "serve", or the payload would replay as the wrong kind.
+        for mode in (None, "classic", "Serve", ["serve"]):
+            with pytest.raises(ValueError, match="unknown replay payload mode"):
+                replay({"v": 1, "kind": "testkit-replay", "mode": mode})
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError, match="not a testkit replay"):
-            replay_serve({"kind": "benchmark-result"})
+            replay({"kind": "benchmark-result"})
 
     def test_wrong_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
-            replay_serve({"v": 99, "kind": "testkit-replay", "mode": "serve"})
+            replay({"v": 99, "kind": "testkit-replay", "mode": "serve"})
