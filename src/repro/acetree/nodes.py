@@ -115,12 +115,6 @@ class LeafView:
     def num_records(self) -> int:
         return self.starts[-1]
 
-    def section_bounds(self, s: int) -> tuple[int, int]:
-        """Row range ``[lo, hi)`` of section ``s`` (1-based) in the payload."""
-        if not 1 <= s <= len(self.counts):
-            raise IndexError(f"section {s} out of range 1..{len(self.counts)}")
-        return self.starts[s - 1], self.starts[s]
-
     def column_array(self, name: str):
         """One key column across *all* sections as a numpy view."""
         return self.page.column_array(name)

@@ -64,7 +64,6 @@ from ..core.errors import QueryError, SerializationError, StorageError
 from ..core.intervals import Box
 from ..core.records import Record
 from ..core.rng import derive
-from ..obs.context import CONTEXT
 from ..obs.flight import FLIGHT
 from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
@@ -121,13 +120,13 @@ class Cell:
     """The matching records of one (leaf, section) cell, decoded on demand.
 
     A lazy cell holds the leaf view and its slice of the leaf's matched-row
-    list (computed once per leaf by the vectorized filter);
-    ``materialize()`` decodes only what is needed — the leaf's record
-    payload is batch-decoded once per view (and cached there, so every
-    later cell of the same leaf is a plain list pick), producing tuples
-    identical, in identical file order, to filtering the eagerly-decoded
-    section.  An eager cell wraps an already-filtered record list (the
-    scalar fallback path).
+    list (computed once per leaf by the vectorized filter); the batch that
+    emits it decodes only those rows — the leaf's record payload is
+    batch-decoded once per view (and cached there, so every later cell of
+    the same leaf is a plain list pick), producing tuples identical, in
+    identical file order, to filtering the eagerly-decoded section.  An
+    eager cell wraps an already-filtered record list (the scalar fallback
+    path).
     """
 
     __slots__ = ("_leaf", "_rows", "_lo", "_hi", "_count", "_records")
@@ -141,32 +140,11 @@ class Cell:
         self._records = records
 
     @classmethod
-    def lazy(cls, leaf: LeafView, rows: list, lo: int, hi: int) -> "Cell":
-        """``rows[lo:hi]`` are the leaf-local matching row numbers."""
-        return cls(leaf, rows, lo, hi, hi - lo, None)
-
-    @classmethod
     def eager(cls, records: list) -> "Cell":
         return cls(None, None, 0, 0, len(records), records)
 
     def __len__(self) -> int:
         return self._count
-
-    def __iter__(self):
-        return iter(self.materialize())
-
-    def materialize(self) -> list[Record]:
-        """Decode (and cache) the cell's matching records."""
-        if self._records is None:
-            if self._count == 0:
-                self._records = []
-            else:
-                decoded = self._leaf.page.records
-                rows = self._rows
-                self._records = [decoded[i] for i in rows[self._lo:self._hi]]
-            self._leaf = None
-            self._rows = None
-        return self._records
 
 
 #: Shared zero-record cell.  Sections with no matching rows still have to
@@ -220,9 +198,6 @@ class SampleBatch:
             for cell in self._cells:
                 recs = cell._records
                 if recs is None:
-                    # Cell.materialize(), inlined minus the write-back:
-                    # the batch drops its cells right below, so caching
-                    # the decoded list on the cell would be dead weight.
                     rows = cell._rows
                     decoded = cell._leaf.page.records
                     recs = [decoded[i] for i in rows[cell._lo:cell._hi]]
@@ -538,7 +513,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         self.stats.lost_leaves += 1
         self.lost_leaves.append(leaf_index)
         if TRACER.enabled:
-            METRICS.counter("query.lost_leaves").child(CONTEXT.label_key()).inc()
+            METRICS.counter("query.lost_leaves").inc()
         if sp is not None:
             sp.attrs["lost_leaf"] = leaf_index
         # A lost leaf means recovery already exhausted its retries (or hit
@@ -547,15 +522,12 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
 
     def _record_query_metrics(self) -> None:
         """Per-batch metric updates; only called while tracing is enabled."""
-        key = CONTEXT.label_key()
-        METRICS.gauge("query.buffered_records").child(key).set(
-            self.stats.buffered_records
-        )
+        METRICS.gauge("query.buffered_records").set(self.stats.buffered_records)
         if not self._first_k_recorded and self.stats.records_emitted >= _FIRST_K:
             self._first_k_recorded = True
             METRICS.histogram(
                 f"query.time_to_first_{_FIRST_K}_sim_s", _TTFK_BOUNDS
-            ).child(key).observe(self.tree.disk.clock - self._start_clock)
+            ).observe(self.tree.disk.clock - self._start_clock)
 
     def population_estimate(self) -> float:
         """Estimated matching-record count, from internal-node counts."""
@@ -610,8 +582,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         While tracing, every level bumps ``stab.level.{L}.overlap`` (some
         live child overlaps the query) or ``.drain`` (none does), plus
         ``.pruned`` by the live children an overlapping sibling beat, and
-        the stab ends with one ``query.stab_depth`` observation — all
-        labeled by the context key, read once per stab.
+        the stab ends with one ``query.stab_depth`` observation.
         """
         self.stats.stabs += 1
         # CPU for the descent (internal nodes are memory resident).
@@ -697,7 +668,6 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         ``query.stab_depth`` observation; the descents stay free of
         tracing code.
         """
-        key = CONTEXT.label_key()
         counter = METRICS.counter
         arity, height = self._arity, self._height
         names = _stab_level_names(height)
@@ -715,16 +685,14 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
                         overlapping += 1
             overlap_name, drain_name, pruned_name = names[level]
             if overlapping:
-                counter(overlap_name).child(key).inc()
+                counter(overlap_name).inc()
                 if alive > overlapping:
                     # Live children deferred because a query-overlapping
                     # sibling won the descent: this stab's pruned subtrees.
-                    counter(pruned_name).child(key).inc(alive - overlapping)
+                    counter(pruned_name).inc(alive - overlapping)
             else:
-                counter(drain_name).child(key).inc()
-        METRICS.histogram(
-            "query.stab_depth", _STAB_DEPTH_BOUNDS
-        ).child(key).observe(height - 1)
+                counter(drain_name).inc()
+        METRICS.histogram("query.stab_depth", _STAB_DEPTH_BOUNDS).observe(height - 1)
 
     def _mark_done(self, leaf_index: int) -> None:
         """Mark a leaf done and propagate doneness up the tree."""

@@ -25,10 +25,7 @@ HOT001   the columnar query hot path (``acetree/query.py``,
          materialize record tuples eagerly outside the sanctioned
          consumer-boundary functions.
 OBS001   literal metric names passed to the metrics registry must be
-         dot-namespaced ``subsystem.name``; ``.labels()`` keyword keys
-         must come from the registered label vocabulary
-         (``repro.obs.context.LABEL_KEYS``); ``.child()`` takes no
-         hand-built (tuple literal) label set.
+         dot-namespaced ``subsystem.name``.
 OBS002   exemplar and cost capture go through the sanctioned boundary:
          only the obs substrate and the storage charge points may mutate
          the cost accountant's ledger, call ``current_span_id()``, or
@@ -534,18 +531,14 @@ def check_test_disk_patching(ctx: LintContext) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# OBS001 — metric naming and label vocabulary
+# OBS001 — metric naming
 # ---------------------------------------------------------------------------
 
-#: Metric-family constructor methods on the metrics registry.
+#: Metric constructor methods on the metrics registry.
 _OBS_FAMILY_METHODS = {"counter", "gauge", "histogram"}
 
 #: ``subsystem.name``: lowercase dot-separated segments, at least two.
 _OBS_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
-
-#: The registered label vocabulary (mirrors ``repro.obs.context.LABEL_KEYS``;
-#: kept literal so the analyzer never imports the library it is checking).
-_OBS_LABEL_KEYS = {"tenant", "query", "sampler", "shard", "section"}
 
 
 def _is_metrics_receiver(node: ast.AST) -> bool:
@@ -563,56 +556,32 @@ def _is_metrics_receiver(node: ast.AST) -> bool:
     return tail in {"metrics", "registry"} or name.endswith("METRICS")
 
 
-@register("OBS001", "metric name / label key outside the registered scheme")
+@register("OBS001", "metric name outside the registered scheme")
 def check_obs_naming(ctx: LintContext) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
+        if not isinstance(node, ast.Call) or not node.args:
             continue
         func = node.func
-        if not isinstance(func, ast.Attribute):
-            continue
-        if func.attr in _OBS_FAMILY_METHODS and _is_metrics_receiver(
-            func.value
+        if not (
+            isinstance(func, ast.Attribute)
+            and func.attr in _OBS_FAMILY_METHODS
+            and _is_metrics_receiver(func.value)
         ):
-            if not node.args:
-                continue
-            first = node.args[0]
-            # Dynamic names (f-strings, variables) are checked at runtime
-            # by the registry; the lint pins only literal names.
-            if not isinstance(first, ast.Constant) or not isinstance(
-                first.value, str
-            ):
-                continue
-            if not _OBS_NAME_RE.match(first.value):
-                yield ctx.finding(
-                    "OBS001",
-                    node,
-                    f"metric name {first.value!r} is not dot-namespaced; "
-                    "use 'subsystem.name' (e.g. 'query.lost_leaves')",
-                )
-        elif func.attr == "child":
-            # ``child()`` trusts its key; only CONTEXT.label_key() feeds it.
-            if node.args and isinstance(node.args[0], ast.Tuple):
-                yield ctx.finding(
-                    "OBS001",
-                    node,
-                    "hand-built label set passed to child(); pass "
-                    "CONTEXT.label_key() or use labels(**kw), which "
-                    "checks keys against LABEL_KEYS",
-                )
-        elif func.attr == "labels":
-            for kw in node.keywords:
-                if kw.arg is None:  # **CONTEXT.labels() expansion
-                    continue
-                if kw.arg not in _OBS_LABEL_KEYS:
-                    allowed = ", ".join(sorted(_OBS_LABEL_KEYS))
-                    yield ctx.finding(
-                        "OBS001",
-                        node,
-                        f"label key {kw.arg!r} is not in the registered "
-                        f"vocabulary ({allowed}); extend "
-                        "repro.obs.context.LABEL_KEYS first",
-                    )
+            continue
+        first = node.args[0]
+        # Only literal names are pinned; dynamic names (f-strings,
+        # variables) go unchecked.
+        if not isinstance(first, ast.Constant) or not isinstance(
+            first.value, str
+        ):
+            continue
+        if not _OBS_NAME_RE.match(first.value):
+            yield ctx.finding(
+                "OBS001",
+                node,
+                f"metric name {first.value!r} is not dot-namespaced; "
+                "use 'subsystem.name' (e.g. 'query.lost_leaves')",
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator
 from ..core.errors import EstimatorError
 from ..core.records import Record
 from ..core.stats import CLTEstimator
-from ..obs.context import CONTEXT
 from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
 
@@ -154,9 +153,7 @@ def aggregate_stream(
             half = aggregator.half_width()
             low, high = mean - half, mean + half
             if TRACER.enabled:
-                METRICS.counter("online_agg.records").child(
-                    CONTEXT.label_key()
-                ).inc(len(batch.records))
+                METRICS.counter("online_agg.records").inc(len(batch.records))
             if sp is not None:
                 sp.attrs["sample_size"] = aggregator.sample_size
                 sp.attrs["mean"] = mean

@@ -26,7 +26,6 @@ from ..core.errors import IndexBuildError, QueryError
 from ..core.intervals import Box
 from ..core.records import Record
 from ..core.rng import derive_random
-from ..obs.context import CONTEXT
 from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
 from ..storage.buffer import RecordPageCache
@@ -275,10 +274,7 @@ class RankedBPlusTree:
         if r1 >= r2:
             return
         rng = derive_random(seed, "bplus-sample")
-        emitted = (
-            METRICS.counter("baseline.records").child(CONTEXT.label_key())
-            if TRACER.enabled else None
-        )
+        emitted = METRICS.counter("baseline.records") if TRACER.enabled else None
         used: set[int] = set()
         total = r2 - r1
         while len(used) < total:
@@ -321,10 +317,7 @@ class RankedBPlusTree:
         pages = list(range(first_page, last_page + 1))
         rng = derive_random(seed, "bplus-blocks")
         rng.shuffle(pages)
-        emitted = (
-            METRICS.counter("baseline.records").child(CONTEXT.label_key())
-            if TRACER.enabled else None
-        )
+        emitted = METRICS.counter("baseline.records") if TRACER.enabled else None
         side = query.sides[0]
         for page_index in pages:
             with TRACER.span("bplus.fetch", disk=disk) as sp:

@@ -23,7 +23,6 @@ from ..core.errors import QueryError
 from ..core.intervals import Box
 from ..core.records import Field, Record, Schema
 from ..core.rng import derive_random
-from ..obs.context import CONTEXT
 from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
 from ..storage.external_sort import external_sort_to_sink
@@ -109,10 +108,7 @@ class PermutedFile:
         # span must wrap the explicit ``next()`` — and close before the
         # yield (a span never stays open across a generator suspension).
         views = iter(self.heap.scan_page_views())
-        emitted = (
-            METRICS.counter("baseline.records").child(CONTEXT.label_key())
-            if TRACER.enabled else None
-        )
+        emitted = METRICS.counter("baseline.records") if TRACER.enabled else None
         while True:
             with TRACER.span("permuted.page", disk=disk) as sp:
                 view = next(views, None)

@@ -27,7 +27,6 @@ from ..core.errors import IndexBuildError, QueryError
 from ..core.intervals import Box, Interval
 from ..core.records import Field, Record, Schema
 from ..core.rng import derive_random
-from ..obs.context import CONTEXT
 from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
 from ..storage.buffer import RecordPageCache
@@ -349,10 +348,7 @@ class RTree:
         if candidates == 0:
             return
         rng = derive_random(seed, "rtree-sample")
-        emitted = (
-            METRICS.counter("baseline.records").child(CONTEXT.label_key())
-            if TRACER.enabled else None
-        )
+        emitted = METRICS.counter("baseline.records") if TRACER.enabled else None
         used: set[int] = set()
         while len(used) < candidates:
             rank = rng.randrange(candidates)

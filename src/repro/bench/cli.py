@@ -737,9 +737,9 @@ def _traced_query_workload(seed: int, sabotage: str | None = None):
     with recorder:
         for query_index, query in enumerate(queries_1d(0.025, 3, seed=seed)):
             side = query.sides[0]
-            # Alternate a synthetic tenant per query: the exported trace
-            # then carries genuine multi-tenant labeled series for the
-            # exposition surface and the per-label report breakdown.
+            # Alternate a synthetic tenant per query: the exported trace's
+            # quality records and cost ledger then carry genuine
+            # multi-tenant rows for the report's per-label tables.
             with CONTEXT.push(tenant=f"t{query_index % 2}",
                               query=f"q{query_index}"):
                 monitor = quality.monitor(

@@ -572,71 +572,6 @@ def _span_overhead_benchmarks(repeat: int) -> dict:
     }
 
 
-def _label_overhead_benchmarks(repeat: int) -> dict:
-    """Per-update cost of labeled vs. unlabeled counter increments, in ns.
-
-    Every loop goes through ``family.child(CONTEXT.label_key()).inc()`` —
-    exactly what instrumented call sites do — so the numbers isolate what
-    a pushed telemetry context adds: the child lookup plus the double
-    value update (``labeled``), or, for a label set past the family's
-    cardinality cap, the fallback to the family plus the per-call drop
-    count (``overflow`` — what every serve step past the 64th (tenant,
-    query) pair pays).  A private registry keeps the global ``METRICS``
-    clean; the cardinality cap is exercised here too, and
-    ``dropped_label_sets`` reports the *global* registry's overflow
-    counter, which the regression rules gate at exactly zero.
-    """
-    from ..obs.context import CONTEXT
-    from ..obs.metrics import DROPPED_LABEL_SETS, METRICS, MetricsRegistry
-
-    incs = 50_000
-    registry = MetricsRegistry()
-    family = registry.counter("micro.label_overhead")
-    overflowing = registry.counter("micro.label_overflow")
-    for query_index in range(registry.max_label_sets):
-        overflowing.labels(tenant="t0", query=f"q{query_index}")
-
-    def loop(counter) -> None:
-        label_key = CONTEXT.label_key
-        for _ in range(incs):
-            counter.child(label_key()).inc()
-
-    def loop_labeled(_state) -> None:
-        with CONTEXT.push(tenant="t0", query="q0"):
-            loop(family)
-
-    def loop_overflow(_state) -> None:
-        with CONTEXT.push(tenant="t0", query="q-over"):
-            loop(overflowing)
-
-    unlabeled_s = _best_of(repeat, lambda: None, lambda _: loop(family))
-    labeled_s = _best_of(repeat, lambda: None, loop_labeled)
-    overflow_s = _best_of(repeat, lambda: None, loop_overflow)
-
-    # Deterministic cap check on a throwaway registry: two admitted label
-    # sets, the third falls back to the family and counts one drop.
-    capped = MetricsRegistry(max_label_sets=2)
-    counter = capped.counter("micro.capped")
-    for tenant in ("t0", "t1", "t2"):
-        counter.labels(tenant=tenant).inc()
-    cap_ok = (
-        counter.value == 3
-        and capped.snapshot()["counters"].get(DROPPED_LABEL_SETS, 0) == 1
-    )
-
-    return {
-        "incs_per_run": incs,
-        "unlabeled_ns_per_inc": unlabeled_s / incs * 1e9,
-        "labeled_ns_per_inc": labeled_s / incs * 1e9,
-        "overflow_ns_per_inc": overflow_s / incs * 1e9,
-        "labeled_overhead_ratio": labeled_s / unlabeled_s,
-        "cap_fallback_ok": int(cap_ok),
-        "dropped_label_sets": METRICS.snapshot()["counters"].get(
-            DROPPED_LABEL_SETS, 0
-        ),
-    }
-
-
 def _obs_analyze_benchmarks(repeat: int) -> dict:
     """Trace-analytics invariants plus the analyzer's own wall cost.
 
@@ -791,7 +726,6 @@ def run_micro(n: int = 20_000, repeat: int = 5, figures: bool = False) -> dict:
         "combine_batch": _combine_batch_benchmarks(n, repeat),
         "ace_query_lazy": _lazy_materialization_benchmarks(n, repeat),
         "span_overhead": _span_overhead_benchmarks(repeat),
-        "obs_label_overhead": _label_overhead_benchmarks(repeat),
         "obs_analyze": _obs_analyze_benchmarks(repeat),
         "program_lint": _program_lint_benchmarks(repeat),
     }

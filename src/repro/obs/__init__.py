@@ -16,17 +16,17 @@ the modeled hardware would charge).  This package provides that view:
   comes from a traced run, and counts from metrics or the engine's own
   statistics.
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket histograms
-  (records-per-page-read, stab depth, time-to-first-k-samples, ...), each
-  a *family* whose ``labels()`` children break the value down by dimension
-  while the unlabeled aggregate stays bit-identical.
+  (records-per-page-read, stab depth, time-to-first-k-samples, ...): one
+  aggregate value per metric, with span exemplars on histograms.
 * :mod:`repro.obs.context` — the thread-local telemetry context:
-  ``CONTEXT.push(tenant=..., query=...)`` scopes baggage that labeled
-  metrics and spans pick up automatically (bounded key vocabulary).
+  ``CONTEXT.push(tenant=..., query=...)`` scopes baggage that quality
+  records, exemplars and cost attribution pick up automatically (bounded
+  key vocabulary).
 * :mod:`repro.obs.flight` — the flight recorder: a bounded ring of recent
   spans/metric updates/faults/quality records, auto-dumped (valid JSONL)
   when the oracle, storage recovery, or the regression gate trips.
 * :mod:`repro.obs.slo` — multi-window burn-rate SLO evaluation on the
-  simulated clock, per label set (deterministic per seed).
+  simulated clock, per quality-record label set (deterministic per seed).
 * :mod:`repro.obs.expose` — Prometheus text exposition (with a strict
   parser for CI round-trips) and the terminal dashboard behind
   ``python -m repro obs expose``.

@@ -1,9 +1,9 @@
 """Trace analytics: run diffing, critical paths, flamegraphs, exemplars.
 
-The telemetry substrate records everything — spans with dual clocks
-(PR 3), labeled metrics and flight rings (PRs 4/8) — but raw JSONL is a
-poor debugging surface.  This module turns the repro's *bit-identical
-simulated clock* invariant into tools:
+The telemetry substrate records everything — spans with dual clocks,
+metrics and flight rings — but raw JSONL is a poor debugging surface.
+This module turns the repro's *bit-identical simulated clock* invariant
+into tools:
 
 * **Stable span path keys** (:func:`span_paths`): every span gets a
   wall-free key ``parent-path/name#ordinal`` where the ordinal counts

@@ -1,8 +1,8 @@
 """Thread-local telemetry context: tenant/query/sampler baggage.
 
-Dimensional metrics only pay off if the *same* label values reach every
-signal a request touches — the ``ace_query`` spans, the ``sample_cache``
-counters, the recovery retries, the quality record.  Threading a
+Per-tenant views only pay off if the *same* label values reach every
+record a request produces — the quality record, the cost ledger's page
+charges, the histogram exemplars.  Threading a
 ``tenant=`` argument through every call site would couple the whole
 engine to the telemetry layer, so instead the baggage rides here: a
 per-thread stack of label dicts that instrumented call sites read
@@ -11,13 +11,12 @@ ambiently.
 ::
 
     with CONTEXT.push(tenant="t0", query="q3"):
-        run_query(...)            # every labeled metric inside gets both labels
+        run_query(...)            # every charge and record inside gets both labels
 
 * Pushes **merge**: an inner ``push(sampler="ace")`` sees the outer
   tenant/query too; the inner frame pops on exit.
 * Keys are validated against the registered label vocabulary
-  (:data:`LABEL_KEYS`) — the same vocabulary the metrics registry and the
-  OBS001 lint rule enforce.  Values are stringified on push.
+  (:data:`LABEL_KEYS`).  Values are stringified on push.
 * The stack is ``threading.local``: concurrent request threads carry
   disjoint baggage, which is exactly the propagation model ROADMAP
   item 1's scheduler needs (one tenant per traversal step).
@@ -25,13 +24,10 @@ ambiently.
 * Each frame also carries its **canonical key** — the
   :func:`canonical_label_set` of the merged baggage, computed once by
   ``push`` while it validates the keys.  :meth:`TelemetryContext.label_key`
-  returns it, so instrumented sites resolve labeled metric children
-  (``family.child(CONTEXT.label_key())``), exemplar label sets and cost
-  attribution once per push instead of re-canonicalizing per update.
+  returns it, so exemplar label sets and cost attribution read the key
+  once per push instead of re-canonicalizing per update.
 
-An empty context yields an empty label dict and the empty key ``()``,
-and a family resolves ``()`` to itself — so instrumented code behaves
-bit-identically to the unlabeled PR 3 form when nothing was pushed.
+An empty context yields an empty label dict and the empty key ``()``.
 """
 
 from __future__ import annotations
@@ -107,9 +103,7 @@ class TelemetryContext:
         """The active merged baggage (treat as read-only; ``{}`` when empty)."""
         return self._local.stack[-1][0]
 
-    #: Alias: the baggage *is* the label dict —
-    #: ``metric.labels(**CONTEXT.labels())`` resolves the same child as
-    #: ``metric.child(CONTEXT.label_key())``.
+    #: Alias: the baggage *is* the label dict.
     labels = current
 
     def label_key(self) -> tuple:

@@ -29,10 +29,10 @@ Design constraints, in order:
   call-site set so ad-hoc attribution can't silently double-count.
 
 The accountant keys attribution by the canonical label-set tuple of the
-ambient baggage (``CONTEXT.label_key()``, the same tuple the labeled
-metric families resolve their children by), so the
-``obs.cost.page_reads`` counters published at recorder uninstall line up
-series-for-series with the engine's own labeled metrics.
+ambient baggage (``CONTEXT.label_key()``, the same tuple exemplars and
+quality records carry).  The ``kind: "cost"`` record keeps that
+per-label-set split; the ``obs.cost.page_reads``/``page_writes``
+counters published at recorder uninstall are its totals.
 """
 
 from __future__ import annotations
@@ -200,23 +200,20 @@ class CostAccountant:  # repro: shared[lock=_lock] attribution ledger; every mut
         }
 
     def publish(self, metrics) -> None:
-        """Emit the ledger as ``obs.cost.*`` labeled counters on *metrics*.
+        """Emit the ledger's totals as ``obs.cost.*`` counters on *metrics*.
 
         Called once at ``TraceRecorder.uninstall`` — publishing is a
-        readout, not a hot-path increment, so the counter families never
-        see per-page traffic.
+        readout, not a hot-path increment, so the counters never see
+        per-page traffic.  The per-label-set split stays in the ledger
+        (:meth:`snapshot`).
         """
         with self._lock:
-            reads = dict(self._reads)
-            writes = dict(self._writes)
-        if reads:
-            counter = metrics.counter("obs.cost.page_reads")
-            for label_set, count in sorted(reads.items()):
-                counter.labels(**dict(label_set)).inc(count)
-        if writes:
-            counter = metrics.counter("obs.cost.page_writes")
-            for label_set, count in sorted(writes.items()):
-                counter.labels(**dict(label_set)).inc(count)
+            reads = sum(self._reads.values()) if self._reads else None
+            writes = sum(self._writes.values()) if self._writes else None
+        if reads is not None:
+            metrics.counter("obs.cost.page_reads").inc(reads)
+        if writes is not None:
+            metrics.counter("obs.cost.page_writes").inc(writes)
 
     def reset(self) -> None:
         """Disarm and drop the ledger (test isolation hook)."""

@@ -142,6 +142,7 @@ METRIC_EVENT_SCHEMA: dict = {  # repro: shared[frozen] constant validation table
     "name": (True, (str,)),
     "metric": (True, (str,)),
     "value": (True, (float, int)),
+    # Only in dumps from releases that labeled metric updates.
     "labels": (False, (dict,)),
 }
 
@@ -164,6 +165,8 @@ METRICS_SNAPSHOT_SCHEMA: dict = {  # repro: shared[frozen] constant validation t
     "counters": (True, (dict,)),
     "gauges": (True, (dict,)),
     "histograms": (True, (dict,)),
+    # Capped per-label series, written only by releases before metrics
+    # became aggregates; accepted so their trace files still validate.
     "labeled": (False, (dict,)),
 }
 

@@ -5,18 +5,19 @@ snapshot` dict (live registry or the ``"kind": "metrics"`` record of a
 trace file):
 
 * :func:`prometheus_text` — the Prometheus text exposition format
-  (``# TYPE`` comments, labeled series, cumulative ``_bucket``/``_sum``/
-  ``_count`` histogram series with an ``+Inf`` bucket).  Metric names are
-  sanitized (dots become underscores); label values are escaped per the
-  spec.  Histogram snapshots that retained exemplars emit them in
+  (``# TYPE`` comments, one series per counter and gauge, cumulative
+  ``_bucket``/``_sum``/``_count`` histogram series with an ``+Inf``
+  bucket).  Metric names are sanitized (dots become underscores); label
+  values (``le`` and exemplar labels) are escaped per the spec.
+  Histogram snapshots that retained exemplars emit them in
   OpenMetrics syntax on the matching ``_bucket`` line —
   ``name_bucket{le="4"} 7 # {span_id="42",tenant="t0"} 3.5`` — one (the
   most recently retained) per bucket.  :func:`parse_prometheus_text` is
   the matching strict parser — the test suite and the CI smoke job
   round-trip through it, so the emitted format is verified, not assumed.
 * :func:`render_dashboard` — the ``obs expose --watch`` terminal view:
-  top-k counter tables (aggregate and per label set), gauges, SLO status
-  rows, and the flight-recorder tail.
+  the top-k counter table, gauges, SLO status rows, and the
+  flight-recorder tail.
 
 Everything here is pure rendering — no clocks, no I/O — so the module
 stays at obs rank 0; the ``--watch`` refresh loop (the only wall-clock
@@ -66,17 +67,6 @@ def _prom_value(value) -> str:
     return repr(float(value))
 
 
-def _label_pairs(rendered: str) -> list[tuple[str, str]]:
-    """Split a canonical rendered label set (``k=v,k=v``) back into pairs."""
-    if not rendered:
-        return []
-    pairs = []
-    for part in rendered.split(","):
-        key, _, value = part.partition("=")
-        pairs.append((key, value))
-    return pairs
-
-
 def _prom_labels(pairs: list[tuple[str, str]]) -> str:
     if not pairs:
         return ""
@@ -96,57 +86,45 @@ def _exemplar_suffixes(hist: dict) -> dict[int, str]:
     return suffixes
 
 
-def _histogram_lines(name: str, hist: dict, pairs: list[tuple[str, str]]) -> list[str]:
+def _histogram_lines(name: str, hist: dict) -> list[str]:
     exemplars = _exemplar_suffixes(hist)
     lines = []
     cumulative = 0
     for bucket, (bound, count) in enumerate(zip(hist["bounds"], hist["counts"])):
         cumulative += count
-        le_pairs = pairs + [("le", _prom_value(bound))]
         lines.append(
-            f"{name}_bucket{_prom_labels(le_pairs)} {cumulative}"
+            f"{name}_bucket{_prom_labels([('le', _prom_value(bound))])} {cumulative}"
             f"{exemplars.get(bucket, '')}"
         )
     cumulative += hist["counts"][-1]
     lines.append(
-        f"{name}_bucket{_prom_labels(pairs + [('le', '+Inf')])} {cumulative}"
+        f"{name}_bucket{_prom_labels([('le', '+Inf')])} {cumulative}"
         f"{exemplars.get(len(hist['bounds']), '')}"
     )
-    lines.append(f"{name}_sum{_prom_labels(pairs)} {_prom_value(hist['total'])}")
-    lines.append(f"{name}_count{_prom_labels(pairs)} {hist['count']}")
+    lines.append(f"{name}_sum {_prom_value(hist['total'])}")
+    lines.append(f"{name}_count {hist['count']}")
     return lines
 
 
 def prometheus_text(snapshot: dict) -> str:
-    """Render a metrics snapshot in the Prometheus text exposition format."""
-    labeled = snapshot.get("labeled", {})
+    """Render a metrics snapshot in the Prometheus text exposition format.
+
+    A snapshot's ``labeled`` section (written by releases that kept
+    capped per-label series) is not rendered.
+    """
     lines: list[str] = []
     for name, value in sorted(snapshot.get("counters", {}).items()):
         prom = _prom_name(name)
         lines.append(f"# TYPE {prom} counter")
         lines.append(f"{prom} {_prom_value(value)}")
-        for rendered, child_value in sorted(
-            labeled.get("counters", {}).get(name, {}).items()
-        ):
-            pairs = _label_pairs(rendered)
-            lines.append(f"{prom}{_prom_labels(pairs)} {_prom_value(child_value)}")
     for name, value in sorted(snapshot.get("gauges", {}).items()):
         prom = _prom_name(name)
         lines.append(f"# TYPE {prom} gauge")
         lines.append(f"{prom} {_prom_value(value)}")
-        for rendered, child_value in sorted(
-            labeled.get("gauges", {}).get(name, {}).items()
-        ):
-            pairs = _label_pairs(rendered)
-            lines.append(f"{prom}{_prom_labels(pairs)} {_prom_value(child_value)}")
     for name, hist in sorted(snapshot.get("histograms", {}).items()):
         prom = _prom_name(name)
         lines.append(f"# TYPE {prom} histogram")
-        lines.extend(_histogram_lines(prom, hist, []))
-        for rendered, child in sorted(
-            labeled.get("histograms", {}).get(name, {}).items()
-        ):
-            lines.extend(_histogram_lines(prom, child, _label_pairs(rendered)))
+        lines.extend(_histogram_lines(prom, hist))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -259,20 +237,6 @@ def _top_counters(snapshot: dict, top: int) -> list[str]:
     ]
 
 
-def _labeled_tables(snapshot: dict, top: int) -> list[str]:
-    labeled = snapshot.get("labeled", {}).get("counters", {})
-    if not labeled:
-        return []
-    rows = []
-    for name, children in sorted(labeled.items()):
-        ranked = sorted(children.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
-        rows.extend([name, label, f"{value:g}"] for label, value in ranked)
-    return [
-        "== labeled counters (top label sets per family) ==",
-        format_table(["counter", "labels", "value"], rows),
-    ]
-
-
 def _gauge_table(snapshot: dict) -> list[str]:
     gauges = snapshot.get("gauges", {})
     if not gauges:
@@ -324,7 +288,6 @@ def render_dashboard(
     sections: list[list[str]] = [[f"== {title} =="]]
     for section in (
         _top_counters(snapshot, top),
-        _labeled_tables(snapshot, top),
         _gauge_table(snapshot),
         _slo_table(slo_statuses or []),
         _flight_tail(flight_events or [], top),

@@ -3,7 +3,7 @@
 Post-hoc traces explain a whole run; the flight recorder explains the
 *last few milliseconds before something went wrong*.  It is a fixed-size
 ring buffer that — while armed — captures every finished span, every
-labeled metric update, every finalized quality record, and every injected
+metric update, every finalized quality record, and every injected
 storage fault, overwriting the oldest events once full.  Memory is
 bounded by construction and the disarmed cost is one attribute check per
 event source (the same branch discipline as the tracer's no-op span
@@ -184,20 +184,17 @@ class FlightRecorder:  # repro: shared[lock=_lock] bounded event ring; every mut
             return
         self._record({"kind": "span", **span_to_dict(record)})
 
-    def record_metric(self, name: str, metric: str, value, label_set=None) -> None:
+    def record_metric(self, name: str, metric: str, value) -> None:
         """Capture one metric update (``metric`` is counter/gauge/histogram)."""
         if not self.enabled:
             return
-        event = {
+        self._record({
             "kind": "metric",
             "v": FLIGHT_VERSION,
             "name": name,
             "metric": metric,
             "value": float(value),
-        }
-        if label_set:
-            event["labels"] = dict(label_set)
-        self._record(event)
+        })
 
     def record_fault(self, event_dict: dict) -> None:
         """Capture one injected storage fault (``FaultEvent.as_dict()``).

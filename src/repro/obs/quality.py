@@ -493,8 +493,7 @@ class StreamQualityMonitor:
     ) -> None:
         self.label = label
         self.group = group if group is not None else label
-        #: Telemetry-context baggage captured at creation time: the labels
-        #: every ``quality.*`` metric of this stream carries, and the
+        #: Telemetry-context baggage captured at creation time: the
         #: ``"labels"`` field of the exported quality record.
         self.labels = dict(CONTEXT.labels())
         self.config = config if config is not None else QualityConfig()
@@ -573,9 +572,7 @@ class StreamQualityMonitor:
         if not self.degraded:
             self.degraded = True
             self.degraded_reason = reason
-            self.metrics.counter("quality.degraded_streams").labels(
-                **self.labels
-            ).inc()
+            self.metrics.counter("quality.degraded_streams").inc()
 
     def finalize(self) -> None:
         """Close the trailing window and publish the ``quality.*`` metrics."""
@@ -585,42 +582,21 @@ class StreamQualityMonitor:
         end = self.end_sim if self.end_sim is not None else 0.0
         self.uniformity.finalize(end)
         metrics = self.metrics
-        labels = self.labels
-        metrics.counter("quality.streams").labels(**labels).inc()
-        metrics.counter("quality.samples").labels(**labels).inc(
-            self.uniformity.samples
-        )
-        metrics.counter("quality.windows").labels(**labels).inc(
-            len(self.uniformity.windows)
-        )
-        metrics.counter("quality.windows_failed").labels(**labels).inc(
-            self.uniformity.windows_failed
-        )
-        if self.uniformity.out_of_range:
-            metrics.counter("quality.out_of_range").labels(**labels).inc(
-                self.uniformity.out_of_range
-            )
-        p_hist = metrics.histogram(
-            "quality.window_p_value", _P_VALUE_BOUNDS
-        ).labels(**labels)
-        for window in self.uniformity.windows:
+        uniformity = self.uniformity
+        metrics.counter("quality.streams").inc()
+        metrics.counter("quality.samples").inc(uniformity.samples)
+        metrics.counter("quality.windows").inc(len(uniformity.windows))
+        metrics.counter("quality.windows_failed").inc(uniformity.windows_failed)
+        if uniformity.out_of_range:
+            metrics.counter("quality.out_of_range").inc(uniformity.out_of_range)
+        p_hist = metrics.histogram("quality.window_p_value", _P_VALUE_BOUNDS)
+        for window in uniformity.windows:
             p_hist.observe(window.p_value)
-        ks_d, _ = self.uniformity.ks_statistic()
+        ks_d, _ = uniformity.ks_statistic()
         gauge = metrics.gauge("quality.ks_d_max")
-        aggregate_max = max(gauge.value, ks_d)
-        if labels:
-            child = gauge.labels(**labels)
-            child.set(max(child.value, ks_d))
-        # Restore the aggregate *after* the child write: a labeled set also
-        # writes the parent, which would replace the cross-stream max with
-        # this stream's — the unlabeled aggregate must stay the global max.
-        gauge.set(aggregate_max)
-        sim_hist = metrics.histogram(
-            "quality.tta_sim_s", _TTA_SIM_BOUNDS
-        ).labels(**labels)
-        wall_hist = metrics.histogram(
-            "quality.tta_wall_s", _TTA_WALL_BOUNDS
-        ).labels(**labels)
+        gauge.set(max(gauge.value, ks_d))
+        sim_hist = metrics.histogram("quality.tta_sim_s", _TTA_SIM_BOUNDS)
+        wall_hist = metrics.histogram("quality.tta_wall_s", _TTA_WALL_BOUNDS)
         for record in self.estimator.tta:
             sim_hist.observe(record.sim_seconds)
             wall_hist.observe(record.wall_seconds)

@@ -18,12 +18,12 @@ call sites themselves, where the values are in scope.)
 The recorder that turns tracing on also brackets the cost accountant
 (:data:`~repro.obs.cost.COST`): ``install`` arms it so the storage
 charge points attribute every page read to the ambient
-tenant/query/sampler context, and ``uninstall`` publishes the ledger as
-``obs.cost.*`` labeled counters before disarming (the ledger itself
-stays readable for reports).  A recorder installed while tracing is
-already on only collects spans: the enclosing trace keeps its span stack
-and its ledger.  Derived histogram observations pass the
-finished span's own id so exemplars point at the span that produced the
+tenant/query/sampler context, and ``uninstall`` publishes the ledger's
+totals as ``obs.cost.*`` counters before disarming (the ledger itself,
+split by label set, stays readable for reports).  A recorder installed
+while tracing is already on only collects spans: the enclosing trace
+keeps its span stack and its ledger.  Derived histogram observations
+pass the finished span's own id so exemplars point at the span that produced the
 value — the listener runs after the span popped off the stack, so the
 ambient ``current_span_id`` would name the parent instead.
 """

@@ -74,16 +74,7 @@ DEFAULT_RULES: tuple[MetricRule, ...] = (
     # ``profile.counters.ace_query.leaves_read``) would classify as exact
     # and report missing.
     MetricRule(r"profile\..*", "ignore"),
-    # Dropped label sets must stay exactly zero: silent cardinality
-    # overflow would quietly unlabel per-tenant series.  Matched before
-    # the blanket metrics-snapshot ignore below.
-    MetricRule(r"metrics\.counters\.obs\.metrics\.dropped_label_sets",
-               "exact"),
     MetricRule(r"metrics\..*", "ignore"),
-    MetricRule(r"obs_label_overhead\.(dropped_label_sets|cap_fallback_ok"
-               r"|incs_per_run)", "exact"),
-    MetricRule(r"obs_label_overhead\.labeled_overhead_ratio",
-               "lower_better"),
     # Trace-analytics invariants: same-seed diffs must stay empty,
     # sabotage must stay detected, and the cost accountant must conserve
     # charged pages — all pure functions of code + seed, gated exact.

@@ -28,10 +28,10 @@ at or above its threshold (the long window filters blips, the short
 window guarantees the problem is still live).  ``ratio``/``threshold``
 objectives have no time series; they simply fire when out of compliance.
 
-Results are reported **per label set**: quality records carry their
-monitor's telemetry-context labels, counters carry the registry's
-``labeled`` snapshot section, and an unlabeled aggregate row (label
-``""``) always covers the whole population.
+``tta`` results are reported **per label set**: quality records carry
+their monitor's telemetry-context labels, and an unlabeled aggregate row
+(label ``""``) covers the whole population.  Counters are aggregates, so
+``ratio``/``threshold`` objectives report that aggregate row only.
 """
 
 from __future__ import annotations
@@ -264,42 +264,30 @@ def _eval_tta(objective: Objective, quality: list[dict]) -> list[SloStatus]:
 # ---------------------------------------------------------------------------
 
 
-def _counter_views(snapshot: dict, name: str) -> dict[str, float]:
-    """``label -> value`` for one counter, ``""`` being the aggregate."""
-    views = {"": float(snapshot.get("counters", {}).get(name, 0.0))}
-    labeled = snapshot.get("labeled", {}).get("counters", {}).get(name, {})
-    for label, value in labeled.items():
-        views[label] = float(value)
-    return views
+def _counter_value(snapshot: dict, name: str) -> float:
+    """One counter's aggregate value (0 when the run never bumped it)."""
+    return float(snapshot.get("counters", {}).get(name, 0.0))
 
 
-def _eval_ratio(objective: Objective, snapshot: dict) -> list[SloStatus]:
-    num_views = _counter_views(snapshot, objective.numerator)
-    den_views: dict[str, float] = {}
+def _eval_ratio(objective: Objective, snapshot: dict) -> SloStatus:
+    numerator = _counter_value(snapshot, objective.numerator)
+    denominator = 0.0
     for part in objective.denominator:
-        for label, value in _counter_views(snapshot, part).items():
-            den_views[label] = den_views.get(label, 0.0) + value
-    statuses = []
-    for label in sorted(set(num_views) | set(den_views)):
-        numerator = num_views.get(label, 0.0)
-        denominator = den_views.get(label, 0.0)
-        value = numerator / denominator if denominator else None
-        firing = value is not None and value < objective.minimum
-        status = SloStatus(objective.name, "ratio", label, value, firing=firing)
-        status.events = int(denominator)
-        status.detail["minimum"] = objective.minimum
-        statuses.append(status)
-    return statuses
+        denominator += _counter_value(snapshot, part)
+    value = numerator / denominator if denominator else None
+    firing = value is not None and value < objective.minimum
+    status = SloStatus(objective.name, "ratio", "", value, firing=firing)
+    status.events = int(denominator)
+    status.detail["minimum"] = objective.minimum
+    return status
 
 
-def _eval_threshold(objective: Objective, snapshot: dict) -> list[SloStatus]:
-    statuses = []
-    for label, value in sorted(_counter_views(snapshot, objective.metric).items()):
-        firing = value > objective.bound
-        status = SloStatus(objective.name, "threshold", label, value, firing=firing)
-        status.detail["bound"] = objective.bound
-        statuses.append(status)
-    return statuses
+def _eval_threshold(objective: Objective, snapshot: dict) -> SloStatus:
+    value = _counter_value(snapshot, objective.metric)
+    firing = value > objective.bound
+    status = SloStatus(objective.name, "threshold", "", value, firing=firing)
+    status.detail["bound"] = objective.bound
+    return status
 
 
 def evaluate_slos(
@@ -324,7 +312,7 @@ def evaluate_slos(
             else:
                 statuses.append(SloStatus(objective.name, "tta", "", None))
         elif objective.kind == "ratio":
-            statuses.extend(_eval_ratio(objective, metrics or {}))
+            statuses.append(_eval_ratio(objective, metrics or {}))
         else:
-            statuses.extend(_eval_threshold(objective, metrics or {}))
+            statuses.append(_eval_threshold(objective, metrics or {}))
     return statuses

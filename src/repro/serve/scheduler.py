@@ -29,9 +29,9 @@ sharing one tree, buffer pool, and disk:
   flight, not the queries answered.
 
 Every step of every admitted query runs under
-``CONTEXT.push(tenant=..., query=...)``, so traces, labeled metrics,
-quality records, SLO burn rates, and cost attribution all see the serving
-interleaving for free.
+``CONTEXT.push(tenant=..., query=...)``, so quality records, exemplars,
+SLO burn rates, and cost attribution all see the serving interleaving for
+free.
 
 **Determinism.**  The loop has no wall-clock reads and no unseeded
 randomness: event order is (simulated time, submission sequence), ring

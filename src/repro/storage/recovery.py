@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.errors import TransientPageError
-from ..obs.context import CONTEXT
 from ..obs.cost import COST
 from ..obs.flight import FLIGHT
 from ..obs.metrics import METRICS
@@ -38,9 +37,9 @@ from .disk import SimulatedDisk
 
 
 def _count_retry() -> None:
-    """One retry tick: a labeled metric while tracing."""
+    """One retry tick: a metric while tracing."""
     if TRACER.enabled:
-        METRICS.counter("storage.read_retries").child(CONTEXT.label_key()).inc()
+        METRICS.counter("storage.read_retries").inc()
 
 __all__ = [
     "DEFAULT_RETRY",

@@ -33,7 +33,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..core.errors import BufferPoolError
-from ..obs.context import CONTEXT
 from ..obs.metrics import METRICS
 from ..obs.tracer import TRACER
 
@@ -105,12 +104,12 @@ class SampleCache:  # repro: shared[owner=serve.scheduler] single-writer LRU; sa
         if entry is None:
             self.stats.misses += 1
             if TRACER.enabled:
-                METRICS.counter("sample_cache.misses").child(CONTEXT.label_key()).inc()
+                METRICS.counter("sample_cache.misses").inc()
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
         if TRACER.enabled:
-            METRICS.counter("sample_cache.hits").child(CONTEXT.label_key()).inc()
+            METRICS.counter("sample_cache.hits").inc()
         return entry[0]
 
     def peek(self, key: tuple):
@@ -141,7 +140,7 @@ class SampleCache:  # repro: shared[owner=serve.scheduler] single-writer LRU; sa
             self.stats.bytes_cached -= dropped
             self.stats.evictions += 1
             if TRACER.enabled:
-                METRICS.counter("sample_cache.evictions").child(CONTEXT.label_key()).inc()
+                METRICS.counter("sample_cache.evictions").inc()
         entries[key] = (value, nbytes)
         self.stats.bytes_cached += nbytes
         self.stats.insertions += 1

@@ -4,10 +4,9 @@ Both descents (binary fast path, k-ary generic loop) are free of tracing
 code; one post-pass over the chosen path makes the traced updates.  For
 either arity, a traced stream must pick the same leaves, leave the same
 toggle state, and make the same ``stab.level.*`` and ``query.stab_depth``
-updates — labeled children, over-cap drops and flight-recorder events
-included — as :class:`GenericStabStream`, a test-local copy of the
-generic loop that every traced descent used to take (counting inline,
-labels resolved from the ambient context at every level).
+updates — the aggregates and the flight-recorder events, in order — as
+:class:`GenericStabStream`, a test-local copy of the generic loop that
+every traced descent used to take (counting inline at every level).
 """
 
 from __future__ import annotations
@@ -23,15 +22,13 @@ from repro.core.errors import QueryError
 from repro.obs import FLIGHT, METRICS
 from repro.obs.context import CONTEXT
 from repro.obs.flight import deterministic_view
-from repro.obs.metrics import DEFAULT_MAX_LABEL_SETS, DROPPED_LABEL_SETS
 from repro.obs.tracer import TRACER
 from repro.storage import CostModel, HeapFile, SimulatedDisk
 
 SCHEMA = Schema([Field("k", "i8"), Field("v", "f8")])
 
-#: Distinct (tenant, query) frames per run: past the per-family cap, so
-#: every labeled family overflows and the drop path runs on every stab.
-FRAMES = DEFAULT_MAX_LABEL_SETS + 16
+#: Streams per run, each stabbed under its own (tenant, query) frame.
+FRAMES = 80
 
 
 class GenericStabStream(SampleStream):
@@ -62,15 +59,10 @@ class GenericStabStream(SampleStream):
                     raise QueryError("stab reached a fully-done subtree")
                 if tracing:
                     branch = "overlap" if pool else "drain"
-                    labels = CONTEXT.labels()
-                    METRICS.counter(
-                        f"stab.level.{level}.{branch}"
-                    ).labels(**labels).inc()
+                    METRICS.counter(f"stab.level.{level}.{branch}").inc()
                     pruned = len(alive) - len(pool)
                     if pool and pruned:
-                        METRICS.counter(
-                            f"stab.level.{level}.pruned"
-                        ).labels(**labels).inc(pruned)
+                        METRICS.counter(f"stab.level.{level}.pruned").inc(pruned)
                 if not pool:
                     pool = alive
             if len(pool) == 1 or not alternate:
@@ -86,9 +78,8 @@ class GenericStabStream(SampleStream):
                 next_child[(level, index)] = (choice + 1) % arity
             level, index = child_level, base + choice
         if tracing:
-            METRICS.histogram(
-                "query.stab_depth", _STAB_DEPTH_BOUNDS
-            ).labels(**CONTEXT.labels()).observe(self._height - 1)
+            METRICS.histogram("query.stab_depth", _STAB_DEPTH_BOUNDS).observe(
+                self._height - 1)
         return index
 
 
@@ -172,18 +163,23 @@ def test_traced_descent_matches_the_generic_loop(arity, height):
     assert fast_snapshot == generic_snapshot
     assert fast_events == generic_events
 
-    # The comparison covered every branch and the over-cap path.
+    # The comparison covered every branch, and the run left aggregates only.
     counters = fast_snapshot["counters"]
-    assert counters[DROPPED_LABEL_SETS] > 0
+    assert set(fast_snapshot) == {"counters", "gauges", "histograms"}
     for branch in ("overlap", "drain", "pruned"):
         assert any(name.endswith(f".{branch}") for name in counters)
-    labeled = fast_snapshot["labeled"]
-    assert len(labeled["counters"]["stab.level.1.overlap"]) == (
-        DEFAULT_MAX_LABEL_SETS)
+    stabs = sum(len(seq) for seq in fast_leaves)
     depth = fast_snapshot["histograms"]["query.stab_depth"]
-    assert depth["count"] == sum(len(seq) for seq in fast_leaves)
-    assert any(event["kind"] == "metric" and "labels" in event
-               for event in fast_events)
+    assert depth["count"] == stabs
+    for level in range(1, height):
+        assert counters.get(f"stab.level.{level}.overlap", 0) + counters.get(
+            f"stab.level.{level}.drain", 0) == stabs
+    # One event per update: a branch per level and the depth per stab,
+    # plus each pruned bump; none carries labels.
+    metric_events = [event for event in fast_events if event["kind"] == "metric"]
+    pruned = sum(1 for event in metric_events if event["name"].endswith(".pruned"))
+    assert len(metric_events) == stabs * height + pruned
+    assert not any("labels" in event for event in metric_events)
 
 
 def test_untraced_descent_matches_the_generic_loop():

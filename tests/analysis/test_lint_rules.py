@@ -175,28 +175,25 @@ class TestTst001:
 
 
 class TestObs001:
-    def test_bad_names_and_label_keys_flagged(self):
+    def test_bad_names_flagged(self):
         findings = lint_file(FIXTURES / "apps" / "bad_metrics.py")
-        assert lines_by_rule(findings) == {"OBS001": [7, 9, 10, 12]}
+        assert lines_by_rule(findings) == {"OBS001": [7, 9]}
 
     def test_messages_name_the_fix(self):
         findings = lint_file(FIXTURES / "apps" / "bad_metrics.py")
         by_line = {f.line: f.message for f in findings}
         assert "dot-namespaced" in by_line[7]
         assert "dot-namespaced" in by_line[9]
-        assert "LABEL_KEYS" in by_line[10]
-        assert "CONTEXT.label_key()" in by_line[12]
 
-    def test_dynamic_names_and_splat_labels_exempt(self, tmp_path):
+    def test_dynamic_names_exempt(self, tmp_path):
         target = tmp_path / "repro" / "apps"
         target.mkdir(parents=True)
         path = target / "dyn.py"
         path.write_text(
-            "from repro.obs import CONTEXT, METRICS\n"
-            "def f(level):\n"
+            "from repro.obs import METRICS\n"
+            "def f(level, name):\n"
             "    METRICS.counter(f'stab.level.{level}').inc()\n"
-            "    METRICS.counter('app.ok').labels(**CONTEXT.labels()).inc()\n"
-            "    METRICS.counter('app.ok').child(CONTEXT.label_key()).inc()\n"
+            "    METRICS.gauge(name).set(1)\n"
         )
         assert lint_file(path) == []
 

@@ -150,13 +150,16 @@ class TestLifecycle:
                 disk.read_page(start + 1)
                 disk.write_page(start + 2, b"z")
         assert not COST.enabled
-        labeled = registry.snapshot()["labeled"]
-        assert labeled["counters"]["obs.cost.page_reads"] == {
-            "tenant=t0": 1, "tenant=t1": 1,
-        }
-        assert labeled["counters"]["obs.cost.page_writes"] == {"tenant=t1": 1}
-        # The ledger stays readable after disarm (trace report reads it).
-        assert COST.snapshot()["conserved"]
+        snapshot = registry.snapshot()
+        assert set(snapshot) == {"counters", "gauges", "histograms"}
+        assert snapshot["counters"]["obs.cost.page_reads"] == 2
+        assert snapshot["counters"]["obs.cost.page_writes"] == 1
+        # The ledger stays readable after disarm (trace report reads it),
+        # split by label set.
+        ledger = COST.snapshot()
+        assert ledger["page_reads"] == {"tenant=t0": 1, "tenant=t1": 1}
+        assert ledger["page_writes"] == {"tenant=t1": 1}
+        assert ledger["conserved"]
 
     def test_rearm_clears_the_previous_ledger(self):
         disk = _disk()

@@ -58,15 +58,19 @@ class TestRetention:
         # Ring semantics: the two oldest entries were overwritten in place.
         assert {row["span_id"] for row in rows} == {104, 105, 102, 103}
 
-    def test_labeled_child_stores_on_family_root_with_labels(self, recorder):
+    def test_registry_histogram_keeps_each_observations_context(self, recorder):
         registry = MetricsRegistry()
-        family = registry.histogram("h", BOUNDS)
-        family.labels(tenant="t0").observe(0.5, span_id=8)
+        hist = registry.histogram("h", BOUNDS)
+        with CONTEXT.push(tenant="t0"):
+            hist.observe(0.5, span_id=8)
+            with CONTEXT.push(query="q1"):
+                hist.observe(0.6, span_id=9)
+        hist.observe(0.7, span_id=10)
         rows = registry.snapshot()["histograms"]["h"]["exemplars"]
-        assert rows == [
-            {"bucket": 0, "le": "1", "value": 0.5, "span_id": 8,
-             "labels": {"tenant": "t0"}},
+        assert [row["labels"] for row in rows] == [
+            {"tenant": "t0"}, {"tenant": "t0", "query": "q1"}, {},
         ]
+        assert [row["span_id"] for row in rows] == [8, 9, 10]
 
     def test_ambient_context_labels_attached(self, recorder):
         hist = Histogram("h", BOUNDS)

@@ -532,8 +532,7 @@ class TestReadTrace:
             with TRACER.span("flight.outer"):
                 with TRACER.span("flight.inner"):
                     pass
-            FLIGHT.record_metric(
-                "query.records", "counter", 2, (("tenant", "t0"),))
+            FLIGHT.record_metric("query.records", "counter", 2)
             FLIGHT.record_fault(
                 {"op": "read", "ordinal": 0, "kind": "transient", "page": 1})
             events = FLIGHT.snapshot()

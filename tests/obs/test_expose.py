@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs import CONTEXT
 from repro.obs.expose import (
     parse_prometheus_text,
     prometheus_text,
@@ -15,13 +16,13 @@ from repro.obs.slo import SloStatus
 
 def _populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
-    registry.counter("query.records").labels(tenant="t0", query="q1").inc(3)
-    registry.counter("query.records").labels(tenant="t1").inc(4)
+    registry.counter("query.records").inc(3)
+    registry.counter("query.records").inc(4)
     registry.counter("sample_cache.hits").inc(10)
-    registry.gauge("query.buffered_records").labels(tenant="t0").set(17.5)
+    registry.gauge("query.buffered_records").set(17.5)
     hist = registry.histogram("query.lat_sim_s", bounds=(0.1, 1.0))
-    hist.labels(sampler="ace").observe(0.05)
-    hist.labels(sampler="ace").observe(0.5)
+    hist.observe(0.05)
+    hist.observe(0.5)
     hist.observe(2.0)
     return registry
 
@@ -39,10 +40,16 @@ class TestPrometheusText:
             for name, labels, value in parsed["samples"]
         }
         assert samples[("query_records", ())] == 7.0
-        assert samples[
-            ("query_records", (("query", "q1"), ("tenant", "t0")))
-        ] == 3.0
-        assert samples[("query_records", (("tenant", "t1"),))] == 4.0
+        assert samples[("query_buffered_records", ())] == 17.5
+        # One series per metric: the only sample label is a bucket's ``le``.
+        assert all(set(labels) <= {"le"} for _, labels, _ in parsed["samples"])
+
+    def test_legacy_labeled_section_is_not_rendered(self):
+        snapshot = _populated_registry().snapshot()
+        legacy = dict(snapshot, labeled={"counters": {
+            "query.records": {"tenant=t0": 3},
+        }})
+        assert prometheus_text(legacy) == prometheus_text(snapshot)
 
     def test_histogram_buckets_are_cumulative_with_inf(self):
         snapshot = _populated_registry().snapshot()
@@ -50,7 +57,7 @@ class TestPrometheusText:
         buckets = {
             labels["le"]: value
             for name, labels, value in parsed["samples"]
-            if name == "query_lat_sim_s_bucket" and "sampler" not in labels
+            if name == "query_lat_sim_s_bucket"
         }
         assert buckets["0.1"] == 1.0
         assert buckets["1"] == 2.0
@@ -61,16 +68,15 @@ class TestPrometheusText:
         ]
         assert count == [3.0]
 
-    def test_label_values_escaped(self):
+    def test_label_values_escaped(self, recorder):
         registry = MetricsRegistry()
-        registry.counter("query.records").labels(tenant='a"b\\c').inc()
+        with CONTEXT.push(tenant='a"b\\c'):
+            registry.histogram("query.lat", bounds=(1.0,)).observe(0.5, span_id=3)
         text = prometheus_text(registry.snapshot())
         parsed = parse_prometheus_text(text)
-        labeled = [
-            labels for name, labels, _ in parsed["samples"]
-            if name == "query_records" and labels
+        assert [labels for _, _, labels, _ in parsed["exemplars"]] == [
+            {"span_id": "3", "tenant": 'a"b\\c'},
         ]
-        assert labeled == [{"tenant": 'a"b\\c'}]
 
     def test_empty_snapshot_renders_empty(self):
         assert prometheus_text({}) == ""

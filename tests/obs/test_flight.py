@@ -131,13 +131,14 @@ class TestDumpArtifact:
         with FLIGHT.recording(capacity=16):
             with TRACER.span("flight.test_span"):
                 pass
-            FLIGHT.record_metric(
-                "query.records", "counter", 2, (("tenant", "t0"),)
-            )
+            FLIGHT.record_metric("query.records", "counter", 2)
             FLIGHT.record_fault(
                 {"op": "read", "ordinal": 0, "kind": "transient", "page": 1}
             )
             events = FLIGHT.snapshot()
+        assert "labels" not in events[1]
+        # Dumps from releases that labeled metric updates still validate.
+        events.append({**events[1], "labels": {"tenant": "t0"}})
         path = write_dump(events, tmp_path / "dump.jsonl", "test", dropped=0)
         problems = validate_jsonl(path)
         assert problems == [], problems

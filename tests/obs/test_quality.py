@@ -281,6 +281,19 @@ class TestQualitySession:
         assert snapshot["counters"]["quality.samples"] == 400
         assert snapshot["counters"]["quality.windows"] == 2
 
+    def test_ks_d_max_gauge_keeps_the_cross_stream_max(self):
+        registry = MetricsRegistry()
+        session = QualitySession(metrics=registry)
+        skewed = session.monitor("q0", lambda r: r[0], lo=0.0, hi=1.0)
+        uniform = session.monitor("q1", lambda r: r[0], lo=0.0, hi=1.0)
+        rng = random.Random(5)
+        _feed(skewed, [rng.random() ** 3 for _ in range(400)])
+        _feed(uniform, [rng.random() for _ in range(400)])
+        d_skewed = skewed.uniformity.ks_statistic()[0]
+        assert uniform.uniformity.ks_statistic()[0] < d_skewed
+        # The later, smaller statistic does not overwrite the maximum.
+        assert registry.snapshot()["gauges"]["quality.ks_d_max"] == d_skewed
+
     def test_wrap_finalizes_on_early_abandonment(self):
         session = QualitySession(metrics=MetricsRegistry())
         monitor = session.monitor("q0", lambda r: r[0], lo=0.0, hi=1.0)
