@@ -53,7 +53,7 @@ from .baselines import (
     build_rtree,
 )
 from .core import Box, Field, Interval, Record, ReproError, Schema
-from .storage import BufferPool, CostModel, HeapFile, SimulatedDisk, external_sort
+from .storage import CostModel, HeapFile, SimulatedDisk, external_sort
 from .view import Catalog, MaterializedSampleView, create_sample_view
 from .workloads import generate_sale_1d, generate_sale_2d, queries_1d, queries_2d
 
@@ -63,7 +63,6 @@ __all__ = [
     "AceBuildParams",
     "AceTree",
     "Box",
-    "BufferPool",
     "Catalog",
     "CostModel",
     "Field",

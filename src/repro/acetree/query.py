@@ -271,16 +271,16 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         #: fast-first property degrades — see benchmarks/test_ablations.py.
         self.alternate = alternate
         geometry = tree.geometry
-        self._geometry = geometry
         self._store = tree.leaf_store
         self._height = geometry.height
-        self._key_of = tree.schema.keys_getter(tree.key_fields)
-        self._filter = make_filter(tree, query)
         #: ``LeafView -> bool ndarray`` over the leaf's rows, or ``None``
         #: when the key layout cannot be vectorized (the scalar fallback
         #: and the columnar path are record-for-record identical —
         #: property-tested in tests/acetree/test_columnar.py).
         self._mask_of = self._make_mask_filter(tree, query) if vectorize else None
+        if self._mask_of is None:
+            # The scalar fallback's ``records -> matching list`` filter.
+            self._filter = make_filter(tree, query)
         self._cache = tree.sample_cache
         #: Per-batch shuffle permutations come from this seed-derived
         #: generator; ``(seed, "ace-stream")`` fully determines the order.
@@ -290,22 +290,14 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         # whose boxes overlap the query (Combine's covering sets), plus
         # the same sets for O(1) overlap tests in the stab loop (identical
         # predicate to geometry.node_box(...).overlaps(query)) and their
-        # sizes.  Pure functions of (geometry, query) and read-only for
-        # the stream's lifetime, so repeated queries share them through a
-        # small memo on the tree.
-        cached = tree._overlap_memo.get(query)
-        if cached is None:
-            required = [
-                geometry.overlapping_nodes(s, query)
-                for s in range(1, self._height + 1)
-            ]
-            cached = (required, [set(r) for r in required],
-                      [len(r) for r in required])
-            if len(tree._overlap_memo) < 64:
-                tree._overlap_memo[query] = cached
-        self._required: list[list[int]]
-        self._overlap_sets: list[set[int]]
-        self._required, self._overlap_sets, self._need = cached
+        # sizes.  Pure functions of (geometry, query), read-only for the
+        # stream's lifetime.
+        self._required: list[list[int]] = [
+            geometry.overlapping_nodes(s, query)
+            for s in range(1, self._height + 1)
+        ]
+        self._overlap_sets: list[set[int]] = [set(r) for r in self._required]
+        self._need: list[int] = [len(r) for r in self._required]
         # buckets[s-1][j] = FIFO of arrived section-s cells for interval j.
         self._buckets: list[dict[int, list[Cell]]] = [
             {} for _ in range(self._height)
@@ -488,12 +480,20 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
             yield from batch.records
 
     def take(self, n: int) -> list[Record]:
-        """Collect the first ``n`` sample records (fewer if exhausted)."""
+        """Collect the first ``n`` sample records (fewer if exhausted).
+
+        ``take(0)`` returns ``[]`` without stepping the stream (no leaf
+        read, no clock charge); a negative ``n`` raises
+        :class:`~repro.core.errors.QueryError`.
+        """
+        if n < 0:
+            raise QueryError(f"take(n) needs n >= 0, got {n}")
         out: list[Record] = []
-        for batch in self:
-            out.extend(batch.records)
-            if len(out) >= n:
+        while len(out) < n:
+            batch = next(self, None)
+            if batch is None:
                 break
+            out.extend(batch.records)
         return out[:n]
 
     @property
@@ -528,10 +528,6 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
             METRICS.histogram(
                 f"query.time_to_first_{_FIRST_K}_sim_s", _TTFK_BOUNDS
             ).observe(self.tree.disk.clock - self._start_clock)
-
-    def population_estimate(self) -> float:
-        """Estimated matching-record count, from internal-node counts."""
-        return self.tree.estimate_count(self.query)
 
     # -- sample cache ----------------------------------------------------------
 

@@ -12,7 +12,7 @@ operations a materialized sample view needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dcfield
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ..core.errors import QueryError
@@ -47,11 +47,6 @@ class AceTree:
     #: reads.  Cold-run behaviour — simulated clock, emitted contents and
     #: order — is bit-identical with or without a cache attached.
     sample_cache: SampleCache | None = None
-    #: Per-query memo of Combine's covering sets (required intervals per
-    #: section level, as list/set/count views).  Pure functions of
-    #: (geometry, query), shared read-only across streams; bounded by
-    #: :class:`~repro.acetree.query.SampleStream`.
-    _overlap_memo: dict = dcfield(default_factory=dict, repr=False)  # repro: shared[owner=serve.scheduler] per-tree memo, written only at stream creation inside a scheduler quantum
 
     @property
     def disk(self) -> SimulatedDisk:

@@ -42,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 __all__ = [
     "AccessOrdinalSanitizer",
     "SampleCheckReport",
-    "SanitizedDict",
     "SanitizedHandle",
     "check_tree",
     "check_sample",
@@ -368,8 +367,8 @@ class AccessOrdinalSanitizer:
     The program analyzer accepts shared caches and memos when they are
     annotated *confined* — touched by one logical writer at a time.  This
     sanitizer makes that claim checkable: instrumented structures (wrapped
-    via :meth:`wrap` / :meth:`wrap_dict`) record every mutation against
-    the writer context active at the time and the simulated clock, and an
+    via :meth:`wrap`) record every mutation against the writer context
+    active at the time and the simulated clock, and an
     :class:`~repro.core.errors.InvariantViolation` is raised on:
 
     * **unattributed write** — a wrapped structure is mutated with no
@@ -479,26 +478,16 @@ class AccessOrdinalSanitizer:
     ) -> "SanitizedHandle":
         """Wrap any object, intercepting the named mutator methods.
 
-        The default op sets below cover the project's cache classes::
+        The op sets the testkit wraps its two shared caches with::
 
             sanitizer.wrap("SampleCache", cache,
                            write_ops=("put", "clear"),
                            read_ops=("get", "peek"))
-            sanitizer.wrap("BufferPool", pool,
-                           write_ops=("read", "write", "invalidate",
-                                      "clear"))
             sanitizer.wrap("DecodeMemo", memo,
                            write_ops=("put", "clear"), read_ops=("get",))
-
-        ``BufferPool.read`` counts as a write: a miss admits and evicts
-        frames, mutating the LRU state.
         """
         return SanitizedHandle(self, structure, obj,
                                frozenset(write_ops), frozenset(read_ops))
-
-    def wrap_dict(self, structure: str, mapping: dict) -> "SanitizedDict":
-        """A dict replacement that reports mutations (for bare memos)."""
-        return SanitizedDict(self, structure, mapping)
 
 
 class SanitizedHandle:
@@ -553,48 +542,3 @@ class SanitizedHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SanitizedHandle({self._structure}, {self._obj!r})"
-
-
-class SanitizedDict(dict):
-    """A dict that reports every mutation to the sanitizer.
-
-    Used for bare-dict memos (``AceTree._overlap_memo``): swap the memo
-    for ``sanitizer.wrap_dict("AceTree._overlap_memo", memo)`` and every
-    ``d[k] = v`` / ``clear`` / ``pop`` is ordinal-checked while reads stay
-    plain dict reads.
-    """
-
-    def __init__(self, sanitizer: AccessOrdinalSanitizer, structure: str,
-                 initial: dict | None = None):
-        super().__init__(initial or {})
-        self._sanitizer = sanitizer
-        self._structure = structure
-
-    def __setitem__(self, key, value):
-        self._sanitizer.note_write(self._structure, "setitem")
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key):
-        self._sanitizer.note_write(self._structure, "delitem")
-        super().__delitem__(key)
-
-    def clear(self):
-        self._sanitizer.note_write(self._structure, "clear")
-        super().clear()
-
-    def pop(self, *args):
-        self._sanitizer.note_write(self._structure, "pop")
-        return super().pop(*args)
-
-    def popitem(self):
-        self._sanitizer.note_write(self._structure, "popitem")
-        return super().popitem()
-
-    def setdefault(self, key, default=None):
-        if key not in self:
-            self._sanitizer.note_write(self._structure, "setdefault")
-        return super().setdefault(key, default)
-
-    def update(self, *args, **kwargs):
-        self._sanitizer.note_write(self._structure, "update")
-        super().update(*args, **kwargs)

@@ -114,7 +114,7 @@ DEFAULT_HOT_ROOTS = (
     r"^baselines\.\w+\.\w+\.(sample|sample_olken)$",
     r"^view\.\w+\.\w+\.sample\w*$",
     r"^storage\.sample_cache\.SampleCache\.(get|peek|put)$",
-    r"^storage\.buffer\.(BufferPool|RecordPageCache)\.(read|write)$",
+    r"^storage\.buffer\.RecordPageCache\.read$",
     r"^storage\.buffer\.DecodeMemo\.(get|put)$",
 )
 

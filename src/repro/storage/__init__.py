@@ -1,6 +1,6 @@
-"""Simulated storage substrate: disk, buffer pool, heap files, external sort."""
+"""Simulated storage substrate: disk, buffer manager, heap files, external sort."""
 
-from .buffer import BufferPool, DecodeMemo, RecordPageCache
+from .buffer import DecodeMemo, RecordPageCache
 from .cost import CostModel
 from .disk import DiskStats, SimulatedDisk
 from .external_sort import external_sort, external_sort_to_sink, merge_runs
@@ -9,7 +9,6 @@ from .recovery import DEFAULT_RETRY, RetryPolicy, read_page_resilient
 from .sample_cache import DEFAULT_BUDGET_BYTES, CacheStats, SampleCache
 
 __all__ = [
-    "BufferPool",
     "CacheStats",
     "CostModel",
     "DEFAULT_BUDGET_BYTES",

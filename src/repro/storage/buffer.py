@@ -1,14 +1,14 @@
-"""An LRU buffer pool over the simulated disk.
+"""The buffer manager over the simulated disk, and a cost-transparent memo.
 
-Tree-structured indexes (the ranked B+-Tree, the R-Tree, and the ACE Tree's
-internal-node pages) read pages through a buffer pool.  The pool is what
-gives the B+-Tree baseline its characteristic curve in the paper: sampling
-is slow while leaf pages still have to be fetched with random I/Os, and
-accelerates sharply once the relevant pages are all resident.
+:class:`RecordPageCache` is the buffer manager: the ranked B+-Tree, the
+R-Tree and the heap sampler read their pages through it.  It is what gives
+the B+-Tree baseline its characteristic curve in the paper: sampling is
+slow while leaf pages still have to be fetched with random I/Os, and
+accelerates sharply once the relevant pages are all resident.  A miss
+charges a timed disk read, a hit a per-page CPU cost.
 
-Reads through the pool charge the disk on a miss and a per-page CPU cost on
-a hit.  Writes are write-through (the workloads here are read-mostly after
-bulk construction).
+:class:`DecodeMemo` never changes what the disk is charged; it only saves
+re-decoding bytes the caller has already decoded.
 """
 
 from __future__ import annotations
@@ -21,86 +21,7 @@ from ..obs.tracer import TRACER
 from .disk import SimulatedDisk
 from .recovery import read_page_resilient
 
-__all__ = ["BufferPool", "DecodeMemo", "RecordPageCache"]
-
-
-class BufferPool:  # repro: shared[owner=serve.scheduler] one pool per index, shared by interleaved traversals only inside scheduler quanta
-    """Fixed-capacity LRU page cache.
-
-    Args:
-        disk: the simulated disk to read from / write to.
-        capacity: maximum number of resident pages; must be positive.
-    """
-
-    def __init__(self, disk: SimulatedDisk, capacity: int) -> None:
-        if capacity <= 0:
-            raise BufferPoolError(f"capacity must be positive, got {capacity}")
-        self.disk = disk
-        self.capacity = capacity
-        self._frames: OrderedDict[int, bytes] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def __contains__(self, pid: int) -> bool:
-        return pid in self._frames
-
-    def read(self, pid: int) -> bytes:
-        """Return page ``pid``, from cache if resident.
-
-        A hit charges only CPU; a miss performs a timed disk read and may
-        evict the least recently used page.
-        """
-        if pid in self._frames:
-            self._frames.move_to_end(pid)
-            self.hits += 1
-            if TRACER.enabled:
-                METRICS.counter("buffer.hit").inc()
-            self.disk.charge_page_hit()
-            return self._frames[pid]
-        self.misses += 1
-        if TRACER.enabled:
-            METRICS.counter("buffer.miss").inc()
-        data = read_page_resilient(self.disk, pid)
-        self._admit(pid, data)
-        return data
-
-    def write(self, pid: int, data: bytes) -> None:
-        """Write-through: update the disk and keep the page resident."""
-        self.disk.write_page(pid, data)
-        if len(data) < self.disk.page_size:
-            data = data + bytes(self.disk.page_size - len(data))
-        self._admit(pid, data)
-
-    def invalidate(self, pid: int) -> None:
-        """Drop a page from the cache (e.g. after freeing it on disk)."""
-        self._frames.pop(pid, None)
-
-    def clear(self) -> None:
-        """Drop every cached page and reset the hit/miss counters."""
-        self._frames.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of reads served from cache (0.0 when no reads yet)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def _admit(self, pid: int, data: bytes) -> None:
-        if pid in self._frames:
-            self._frames.move_to_end(pid)
-            self._frames[pid] = data
-            return
-        while len(self._frames) >= self.capacity:
-            self._frames.popitem(last=False)
-            self.evictions += 1
-        self._frames[pid] = data
+__all__ = ["DecodeMemo", "RecordPageCache"]
 
 
 class RecordPageCache:  # repro: shared[owner=serve.scheduler] one cache per index, shared by interleaved traversals only inside scheduler quanta

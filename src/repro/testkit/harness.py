@@ -24,18 +24,18 @@ a :class:`BrokenCombineStream` whose Combine silently discards one
 required interval's cells, ``mutation="cache-stale"`` swaps in a
 :class:`StaleSampleCache` that serves the wrong leaf's cells on warm
 hits, and ``mutation="shared-memo"`` interleaves two simulated tenants'
-stream creations over one tree so its shared memos see A-B-A writer
-episodes.  The differential oracle must catch the first two and the
+leaf reads over one shared sample cache so it sees an A-B-A writer
+episode.  The differential oracle must catch the first two and the
 access-ordinal sanitizer (:mod:`repro.analysis.invariants`) the third —
 these are the self-tests proving the oracle and sanitizer have teeth.
 
 ``sanitize=True`` (CLI ``--sanitize-access``) arms the sanitizer on any
-run: the tree's overlap memo, its leaf decode memo, and the attached
-sample cache are wrapped, every stream drains inside a per-stream writer
-context, and single-writer-per-tick plus episode-confinement are asserted
-throughout.  Clean scenarios must pass with it armed — that is the
-runtime proof that the ``shared[confined]`` annotations the program
-analyzer accepts are honest.
+run: the tree's leaf decode memo and the attached sample cache are
+wrapped, every stream drains inside a per-stream writer context, and
+single-writer-per-tick plus episode-confinement are asserted throughout.
+Clean scenarios must pass with it armed — that is the runtime proof that
+the ``shared[confined]`` annotations the program analyzer accepts are
+honest.
 
 Serve scenarios (:mod:`repro.testkit.serve`) are the harness's second
 kind: ``fuzz(serve=True)`` runs them through the same loop, and their
@@ -171,14 +171,12 @@ class ScenarioVerdict:
 
 
 def _arm_sanitizer(tree) -> AccessOrdinalSanitizer:
-    """A sanitizer on the tree's disk clock, wrapping its two shared memos.
+    """A sanitizer on the tree's disk clock, wrapping its leaf decode memo.
 
     Armed *after* the build: the builders own the structures exclusively,
     the query phases are what must prove confinement.
     """
     sanitizer = AccessOrdinalSanitizer(lambda: tree.disk.clock)
-    tree._overlap_memo = sanitizer.wrap_dict(
-        "AceTree._overlap_memo", tree._overlap_memo)
     tree.leaf_store._memo = sanitizer.wrap(
         "LeafStore.decode_memo", tree.leaf_store._memo,
         write_ops=("put", "clear"), read_ops=("get",))
@@ -238,7 +236,7 @@ def run_scenario(
 
     if mutation == "shared-memo":
         verdict.reports.append(
-            _shared_memo_mutant(tree, scenario, sanitizer))
+            _shared_memo_mutant(tree, scenario, sanitizer, plan.active))
         verdict.injected = len(plan.injected)
         return verdict, plan
 
@@ -274,11 +272,7 @@ def run_scenario(
     # a warm pass served from residency — and both face the same oracle:
     # cache-warm streams must be indistinguishable from cold ones.
     cache = StaleSampleCache() if mutation == "cache-stale" else SampleCache()
-    if sanitizer is not None:
-        cache = sanitizer.wrap(
-            "SampleCache", cache,
-            write_ops=("put", "clear"), read_ops=("get", "peek"))
-    tree.attach_sample_cache(cache)
+    tree.attach_sample_cache(_sanitized_cache(sanitizer, cache))
     try:
         for query_index, (lo, hi) in enumerate(scenario.queries):
             box = tree.query((lo, hi))
@@ -303,8 +297,6 @@ def _checked_stream(sanitizer, writer_tag, name, make_stream, matching,
                     query, degraded_ok) -> DifferentialReport:
     """Create and judge one stream, inside one sanitizer writer episode.
 
-    The writer context covers stream *creation* too — creating a stream
-    writes the tree's overlap memo, and those writes must be attributed.
     A sanitizer trip is always a verdict failure, even in fault phases
     where aborted streams are otherwise tolerated: faults never excuse a
     confinement violation.
@@ -332,37 +324,51 @@ def _checked_stream(sanitizer, writer_tag, name, make_stream, matching,
     return report
 
 
+def _sanitized_cache(sanitizer: AccessOrdinalSanitizer | None, cache):
+    """``cache``, wrapped so the sanitizer sees its writes when armed."""
+    if sanitizer is None:
+        return cache
+    return sanitizer.wrap("SampleCache", cache,
+                          write_ops=("put", "clear"), read_ops=("get", "peek"))
+
+
 def _shared_memo_mutant(tree, scenario: Scenario,
                         sanitizer: AccessOrdinalSanitizer | None,
-                        ) -> DifferentialReport:
-    """Interleave two simulated tenants' stream creations on one tree.
+                        faults_active: bool) -> DifferentialReport:
+    """Interleave two simulated tenants' leaf reads over one sample cache.
 
-    Tenant A creates a stream (writing the shared overlap memo), tenant B
-    creates one, then tenant A creates a third — the A-B-A writer-episode
-    pattern a concurrency-unsafe scheduler would produce.  The sanitizer
-    MUST trip; the trip is reported as the verdict failure that the
-    mutation self-test asserts on (a silent pass means the sanitizer has
-    no teeth).
+    The attached cache admits no cell (a one-byte budget), so every leaf
+    read ``put``s into it.  Tenants A, B and A then each take one batch of
+    their own whole-domain stream: the third tenant's ``put`` is the A-B-A
+    writer-episode pattern a concurrency-unsafe scheduler would produce.
+    The sanitizer MUST trip; the trip is reported as the verdict failure
+    that the mutation self-test asserts on (a silent pass means the
+    sanitizer has no teeth).  A typed error (an injected fault the reads
+    did not survive) is recorded as an aborted stream, as in
+    :func:`_checked_stream`.
     """
-    lo, hi = scenario.queries[0]
-    mid = (lo + hi) // 2
-    # Three distinct query boxes: distinct overlap-memo keys, so every
-    # creation writes the memo (a repeat box would be a memo *hit*).
-    boxes = [tree.query(q) for q in ((lo, hi), (lo, mid), (mid, hi))]
-    report = DifferentialReport(sampler="ace-shared", query=(lo, hi))
+    domain = tree.geometry.domain
+    report = DifferentialReport(
+        sampler="ace-shared", query=(domain.sides[0].lo, domain.sides[0].hi))
     # With sanitize=False the mutant runs uninstrumented and passes
     # silently — demonstrating exactly the blindness the sanitizer fixes.
     owner = sanitizer.writer if sanitizer is not None else (
         lambda tag: nullcontext())
+    tree.attach_sample_cache(
+        _sanitized_cache(sanitizer, SampleCache(budget_bytes=1)))
     try:
-        with owner("tenant-A"), CONTEXT.push(tenant="tenant-A"):
-            tree.sample(boxes[0], seed=scenario.seed)
-        with owner("tenant-B"), CONTEXT.push(tenant="tenant-B"):
-            tree.sample(boxes[1], seed=scenario.seed + 1)
-        with owner("tenant-A"), CONTEXT.push(tenant="tenant-A"):
-            tree.sample(boxes[2], seed=scenario.seed + 2)
+        for i, tenant in enumerate(("tenant-A", "tenant-B", "tenant-A")):
+            with owner(tenant), CONTEXT.push(tenant=tenant):
+                next(tree.sample(domain, seed=scenario.seed + i))
     except InvariantViolation as exc:
         report.failures.append(str(exc))
+    except ReproError as exc:
+        report.aborted = f"{type(exc).__name__}: {exc}"
+        if not faults_active:
+            report.failures.append(
+                f"stream aborted without faults: {report.aborted}")
+    finally:
+        tree.detach_sample_cache()
     return report
 
 

@@ -159,6 +159,24 @@ class TestOnlineProperties:
         got = stream.take(10 ** 6)
         assert len(got) == len(matching)
 
+    def test_take_zero_does_not_step_the_stream(self, built):
+        _records, tree = built
+        stream = tree.sample(tree.query((100_000, 500_000)), seed=2)
+        clock = tree.disk.clock
+        assert stream.take(0) == []
+        assert tree.disk.clock == clock
+        assert stream.stats.leaves_read == 0
+        # The untouched stream still starts from its first batch.
+        fresh = tree.sample(tree.query((100_000, 500_000)), seed=2)
+        assert stream.take(50) == fresh.take(50)
+
+    def test_take_negative_rejected(self, built):
+        _records, tree = built
+        stream = tree.sample(tree.query((100_000, 120_000)), seed=2)
+        with pytest.raises(QueryError, match="n >= 0"):
+            stream.take(-1)
+        assert stream.stats.leaves_read == 0
+
 
 class TestShuttleTraversal:
     def test_visits_each_leaf_once(self, built):

@@ -8,7 +8,7 @@ without false-positives on the testkit's real access patterns.
 
 import pytest
 
-from repro.analysis.invariants import AccessOrdinalSanitizer, SanitizedDict
+from repro.analysis.invariants import AccessOrdinalSanitizer
 from repro.core.errors import InvariantViolation
 
 
@@ -164,27 +164,3 @@ class TestWrap:
         handle = sanitizer.wrap("Memo", Memo(k=1), write_ops=())
         assert "k" in handle
         assert len(handle) == 1
-
-
-class TestWrapDict:
-    def test_mutations_noted_reads_plain(self, sanitizer):
-        memo = sanitizer.wrap_dict("memo", {"seed": 0})
-        assert isinstance(memo, SanitizedDict)
-        assert memo["seed"] == 0  # read: no writer context needed
-        with sanitizer.writer("a"):
-            memo["k"] = 1
-            memo.update(j=2)
-            memo.setdefault("k", 9)  # present: not a write
-            memo.pop("j")
-            del memo["k"]
-            memo.clear()
-        assert sanitizer.stats["memo"]["writes"] == 5
-
-    def test_setitem_outside_context_trips(self, sanitizer):
-        memo = sanitizer.wrap_dict("memo", {})
-        with pytest.raises(InvariantViolation):
-            memo["k"] = 1
-
-    def test_initial_contents_preserved(self, sanitizer):
-        memo = sanitizer.wrap_dict("memo", {"a": 1, "b": 2})
-        assert dict(memo) == {"a": 1, "b": 2}

@@ -260,7 +260,11 @@ class TestQualitySession:
         for i in range(2):
             monitor = session.monitor(f"q{i}", lambda r: r[0],
                                       lo=0.0, hi=1.0, group="ACE Tree")
-            _feed(monitor, [random.Random(i).random() for _ in range(300)])
+            rng = random.Random(i)
+            _feed(monitor, [rng.random() for _ in range(300)])
+            # A spread of keys reaches every stratum (one repeated key
+            # would hit one).
+            assert monitor.coverage.hit == 8
         session.finalize()
         records = session.records()
         assert len(records) == 2
@@ -274,7 +278,9 @@ class TestQualitySession:
         registry = MetricsRegistry()
         session = QualitySession(metrics=registry)
         monitor = session.monitor("q0", lambda r: r[0], lo=0.0, hi=1.0)
-        _feed(monitor, [random.Random(4).random() for _ in range(400)])
+        rng = random.Random(4)
+        _feed(monitor, [rng.random() for _ in range(400)])
+        assert monitor.coverage.hit == 8
         session.finalize()
         snapshot = registry.snapshot()
         assert snapshot["counters"]["quality.streams"] == 1

@@ -1,9 +1,9 @@
-"""Unit tests for the LRU buffer pool and the decoded-page cache."""
+"""Unit tests for the decoded-page cache (the baselines' buffer manager)."""
 
 import pytest
 
 from repro.core.errors import BufferPoolError
-from repro.storage import BufferPool, CostModel, RecordPageCache, SimulatedDisk
+from repro.storage import CostModel, RecordPageCache, SimulatedDisk
 
 
 @pytest.fixture
@@ -19,78 +19,6 @@ def _write_pages(disk, count):
         disk.write_page(start + i, bytes([i % 251]) * 8)
     disk.reset_clock()
     return start
-
-
-class TestBufferPool:
-    def test_capacity_validation(self, disk):
-        with pytest.raises(BufferPoolError):
-            BufferPool(disk, 0)
-
-    def test_hit_and_miss_counting(self, disk):
-        start = _write_pages(disk, 3)
-        pool = BufferPool(disk, 2)
-        pool.read(start)
-        pool.read(start)
-        assert pool.hits == 1
-        assert pool.misses == 1
-        assert pool.hit_rate == 0.5
-
-    def test_miss_charges_io_hit_charges_cpu(self, disk):
-        start = _write_pages(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.read(start)
-        io_clock = disk.clock
-        assert io_clock >= disk.cost.seek_time
-        pool.read(start)
-        assert disk.clock - io_clock == pytest.approx(disk.cost.cpu_per_page)
-
-    def test_lru_eviction_order(self, disk):
-        start = _write_pages(disk, 3)
-        pool = BufferPool(disk, 2)
-        pool.read(start)      # cache: [0]
-        pool.read(start + 1)  # cache: [0, 1]
-        pool.read(start)      # touch 0: LRU is now 1
-        pool.read(start + 2)  # evicts 1
-        assert start in pool
-        assert (start + 1) not in pool
-        assert (start + 2) in pool
-        assert pool.evictions == 1
-
-    def test_capacity_never_exceeded(self, disk):
-        start = _write_pages(disk, 10)
-        pool = BufferPool(disk, 3)
-        for i in range(10):
-            pool.read(start + i)
-            assert len(pool) <= 3
-
-    def test_write_through(self, disk):
-        start = _write_pages(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.write(start, b"updated")
-        # Cached copy matches disk and is padded.
-        assert pool.read(start)[:7] == b"updated"
-        assert disk.read_page(start)[:7] == b"updated"
-        assert pool.hits == 1  # the read came from cache
-
-    def test_invalidate(self, disk):
-        start = _write_pages(disk, 1)
-        pool = BufferPool(disk, 2)
-        pool.read(start)
-        pool.invalidate(start)
-        assert start not in pool
-        pool.read(start)
-        assert pool.misses == 2
-
-    def test_clear(self, disk):
-        start = _write_pages(disk, 2)
-        pool = BufferPool(disk, 2)
-        pool.read(start)
-        pool.clear()
-        assert len(pool) == 0
-        assert pool.hits == 0 and pool.misses == 0
-
-    def test_hit_rate_empty(self, disk):
-        assert BufferPool(disk, 1).hit_rate == 0.0
 
 
 class TestRecordPageCache:
@@ -123,6 +51,27 @@ class TestRecordPageCache:
         assert len(cache) == 2
         assert cache.evictions == 1
         assert start not in cache
+
+    def test_miss_charges_io_hit_charges_cpu(self, disk):
+        start = _write_pages(disk, 1)
+        cache = RecordPageCache(disk, 2, lambda data: data)
+        cache.read(start)
+        io_clock = disk.clock
+        assert io_clock >= disk.cost.seek_time
+        cache.read(start)
+        assert disk.clock - io_clock == pytest.approx(disk.cost.cpu_per_page)
+
+    def test_lru_eviction_order(self, disk):
+        start = _write_pages(disk, 3)
+        cache = RecordPageCache(disk, 2, lambda data: data[0])
+        cache.read(start)      # cache: [0]
+        cache.read(start + 1)  # cache: [0, 1]
+        cache.read(start)      # hit refreshes 0: LRU is now 1
+        cache.read(start + 2)  # evicts 1
+        assert start in cache
+        assert (start + 1) not in cache
+        assert (start + 2) in cache
+        assert cache.evictions == 1
 
     def test_hit_charges_page_cpu_only(self, disk):
         start = _write_pages(disk, 1)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import Field, Schema
 from repro.core.errors import PageError
-from repro.storage import BufferPool, CostModel, HeapFile, SimulatedDisk
+from repro.storage import CostModel, HeapFile, RecordPageCache, SimulatedDisk
 
 
 @pytest.fixture
@@ -97,31 +97,18 @@ class TestStatsConsistency:
         assert stats.seeks + stats.sequential_accesses == len(order)
 
 
-class TestBufferPoolUnderChurn:
+class TestPageCacheUnderChurn:
     def test_random_access_pattern_consistent(self, disk):
         start = disk.allocate(20)
         for i in range(20):
             disk.write_page(start + i, bytes([i]))
-        pool = BufferPool(disk, 5)
+        cache = RecordPageCache(disk, 5, lambda data: data)
         rng = random.Random(1)
         for _ in range(300):
             pid = start + rng.randrange(20)
-            assert pool.read(pid)[0] == pid - start
-            assert len(pool) <= 5
-        assert pool.hits + pool.misses == 300
-
-    def test_freed_then_reused_page_not_stale_after_invalidate(self, disk):
-        pool = BufferPool(disk, 4)
-        pid = disk.allocate()
-        disk.write_page(pid, b"old")
-        pool.read(pid)
-        disk.free(pid)
-        pool.invalidate(pid)
-        again = disk.allocate()
-        assert again == pid
-        disk.write_page(again, b"new")
-        pool.invalidate(again)  # write went around the pool
-        assert pool.read(again)[:3] == b"new"
+            assert cache.read(pid)[0] == pid - start
+            assert len(cache) <= 5
+        assert cache.hits + cache.misses == 300
 
 
 class TestPageIdSpaceIsolation:

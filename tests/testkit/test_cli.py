@@ -45,6 +45,9 @@ class TestFuzzExitCodes:
         assert "sanitizer:" in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert payload["mutation"] == "shared-memo"
+        (line,) = payload["failures"]
+        for name in ("SampleCache.put", "tenant-A", "tenant-B"):
+            assert name in line
 
     def test_nonpositive_iterations_exit_two(self, tmp_path):
         status, _ = _fuzz(tmp_path, "--iterations", "0")

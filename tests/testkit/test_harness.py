@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.acetree import AceBuildParams, build_ace_tree
+from repro.storage import CostModel, HeapFile
 from repro.testkit import (
     FaultPlan,
     FuzzReport,
@@ -12,6 +14,9 @@ from repro.testkit import (
     replay,
     run_scenario,
 )
+from repro.testkit.faults import FaultyDisk
+from repro.testkit.generators import KV_SCHEMA
+from repro.testkit.harness import _arm_sanitizer
 
 
 class TestScenarioGeneration:
@@ -118,13 +123,45 @@ class TestSanitizer:
         (line,) = payload["failures"]
         assert line.startswith("ace-shared")
         assert "sanitizer:" in line
+        assert "SampleCache.put" in line
 
     def test_shared_memo_names_both_tenants(self):
         scenario = generate_scenario(0, with_faults=False)
         verdict, _ = run_scenario(scenario, mutation="shared-memo")
         assert not verdict.ok
         (line,) = verdict.failure_lines
+        assert "interleaved writer episodes on SampleCache.put" in line
         assert "tenant-A" in line and "tenant-B" in line
+
+    def test_shared_memo_under_faults_never_raises(self):
+        # A leaf read that does not survive its injected faults ends the
+        # mutant as an aborted stream; nothing escapes run_scenario.
+        report = fuzz(seed=0, iterations=4, mutation="shared-memo",
+                      max_failures=100)
+        assert report.failures
+        for payload in report.failures:
+            for line in payload["failures"]:
+                assert "SampleCache.put" in line, line
+
+    def test_stream_creation_writes_no_shared_state(self):
+        # Creating a stream computes its covering sets locally: three
+        # creations under A-B-A writers at one clock tick trip nothing.
+        scenario = generate_scenario(0, with_faults=False)
+        disk = FaultyDisk(page_size=scenario.page_size,
+                          cost=CostModel.scaled(scenario.page_size),
+                          plan=FaultPlan())
+        heap = HeapFile.bulk_load(disk, KV_SCHEMA, make_records(scenario))
+        tree = build_ace_tree(heap, AceBuildParams(
+            key_fields=("k",), height=scenario.height,
+            arity=scenario.arity, seed=scenario.seed))
+        sanitizer = _arm_sanitizer(tree)
+        clock = tree.disk.clock
+        for i, tenant in enumerate(("tenant-A", "tenant-B", "tenant-A")):
+            lo, hi = scenario.queries[i]
+            with sanitizer.writer(tenant):
+                tree.sample(tree.query((lo, hi)), seed=scenario.seed + i)
+        assert tree.disk.clock == clock
+        assert sanitizer.stats == {}  # no wrapped structure was touched
 
     def test_shared_memo_without_sanitizer_is_rejected_by_default_logic(self):
         # sanitize=None auto-arms for the shared-memo mutation; forcing it
