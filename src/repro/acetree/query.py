@@ -43,12 +43,15 @@ differential oracle.
 
 **Sample reuse.**  When the tree has a
 :class:`~repro.storage.sample_cache.SampleCache` attached, the Shuttle
-consults it before charging the disk, keyed per section cell by
-``(store token, section s, level-s ancestor, leaf)``.  A full-leaf hit
-skips the timed page reads entirely (charging only the per-record CPU);
-a miss reads the leaf and inserts its cells.  Because each cached cell is
-the exact Bernoulli sample its leaf holds for that node interval,
-cache-warm streams emit the same records in the same order as cold ones.
+consults it before charging the disk, with one lookup per stab keyed by
+``(store token, leaf)``.  Combine files a retrieved leaf's ``h`` section
+cells together, so the whole leaf is the unit of reuse: a hit skips the
+timed page reads entirely (charging only the per-record CPU); a miss
+reads the leaf and inserts it as one entry, charged its records' bytes
+plus each section's share of the serialized overhead.  Because each
+cached leaf holds the exact Bernoulli samples its cells drew for their
+node intervals, cache-warm streams emit the same records in the same
+order as cold ones.
 """
 
 from __future__ import annotations
@@ -286,18 +289,16 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         #: generator; ``(seed, "ace-stream")`` fully determines the order.
         self._perm_rng = derive(seed, "ace-stream")
 
-        # Required intervals per section level: the level-s node indexes
-        # whose boxes overlap the query (Combine's covering sets), plus
-        # the same sets for O(1) overlap tests in the stab loop (identical
-        # predicate to geometry.node_box(...).overlaps(query)) and their
-        # sizes.  Pure functions of (geometry, query), read-only for the
-        # stream's lifetime.
-        self._required: list[list[int]] = [
-            geometry.overlapping_nodes(s, query)
-            for s in range(1, self._height + 1)
-        ]
-        self._overlap_sets: list[set[int]] = [set(r) for r in self._required]
-        self._need: list[int] = [len(r) for r in self._required]
+        # Required intervals per section level (Combine's covering sets):
+        # ``_overlap[s-1][j]`` is 1 when the level-s node j's box overlaps
+        # the query (identical predicate to geometry.node_box(...)
+        # .overlaps(query)), tested by index in the stab and filing loops,
+        # and ``_need[s-1]`` counts them.  Pure functions of (geometry,
+        # query), read-only for the stream's lifetime.  A level's node
+        # list, in index order, is built only when that level drains.
+        self._overlap: list[bytearray] = geometry.overlap_flags(query)
+        self._need: list[int] = [flags.count(1) for flags in self._overlap]
+        self._required: list[list[int] | None] = [None] * self._height
         # buckets[s-1][j] = FIFO of arrived section-s cells for interval j.
         self._buckets: list[dict[int, list[Cell]]] = [
             {} for _ in range(self._height)
@@ -422,9 +423,9 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
                 if self._cache is not None:
                     leaf = self._cache_fetch(leaf_index)
                 if leaf is not None:
-                    # Full-leaf cache hit: every section cell is resident,
-                    # so the page reads are skipped entirely; only the
-                    # per-record CPU of processing the leaf is charged.
+                    # Cache hit: the whole leaf is resident, so the page
+                    # reads are skipped entirely; only the per-record CPU
+                    # of processing the leaf is charged.
                     stats.cache_hits += 1
                     disk.charge_records(leaf.num_records)
                     if sp is not None:
@@ -530,40 +531,28 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
             ).observe(self.tree.disk.clock - self._start_clock)
 
     # -- sample cache ----------------------------------------------------------
-
-    def _cache_keys(self, leaf_index: int) -> list[tuple]:
-        """One key per section cell of the leaf.
-
-        ``(store token, s, ancestor)`` names the level-``s`` node interval
-        the cell Bernoulli-samples; the leaf index distinguishes sibling
-        cells drawn for the same interval, so a cached cell is only ever
-        served back as the exact population it was read from.
-        """
-        token = self._store.cache_token
-        height, arity = self._height, self._arity
-        return [
-            (token, s, leaf_index // arity ** (height - s), leaf_index)
-            for s in range(1, height + 1)
-        ]
+    #
+    # One entry per leaf, keyed ``(store token, leaf)``: the token changes
+    # when the store is freed, so an entry is only ever served back for the
+    # exact leaf it was read from.
 
     def _cache_fetch(self, leaf_index: int):
-        """The leaf's view if *every* section cell is resident, else None."""
-        view = None
-        for key in self._cache_keys(leaf_index):
-            value = self._cache.get(key)
-            if value is None:
-                return None
-            view = value
-        return view
+        """The leaf's cached view, or None."""
+        return self._cache.get((self._store.cache_token, leaf_index))
 
     def _cache_insert(self, leaf_index: int, view) -> None:
-        """File each section cell of a freshly-read leaf into the cache."""
+        """File a freshly-read leaf into the cache as one entry.
+
+        The charge is the leaf's record bytes plus the serialized overhead
+        split evenly over its ``h`` sections, each share rounded down.
+        """
         record_size = self.tree.schema.record_size
-        keys = self._cache_keys(leaf_index)
+        height = self._height
         overhead = max(0, view.byte_size - view.num_records * record_size)
-        base = overhead // len(keys)
-        for key, count in zip(keys, view.counts):
-            self._cache.put(key, view, count * record_size + base)
+        self._cache.put(
+            (self._store.cache_token, leaf_index), view,
+            view.num_records * record_size + height * (overhead // height),
+        )
 
     # -- shuttle traversal -----------------------------------------------------
 
@@ -585,7 +574,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         self.tree.disk.charge_records(self._height)
         arity = self._arity
         done_flags = self._done_flags
-        overlap_sets = self._overlap_sets
+        overlaps = self._overlap
         next_child = self._next_child
         alternate = self.alternate
         level, index = 1, 0
@@ -598,11 +587,11 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
             while level < height:
                 base = index + index
                 flags = done_flags[level]
-                overlap = overlap_sets[level]
+                overlap = overlaps[level]
                 a0 = not flags[base]
                 a1 = not flags[base + 1]
-                c0 = a0 and base in overlap
-                c1 = a1 and base + 1 in overlap
+                c0 = a0 and overlap[base]
+                c1 = a1 and overlap[base + 1]
                 if c0 != c1:
                     choice = 0 if c0 else 1
                 elif c0 or (a0 and a1):
@@ -624,11 +613,11 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         while level < self._height:
             base = arity * index
             child_level = level + 1
-            overlap = overlap_sets[child_level - 1]
+            overlap = overlaps[child_level - 1]
             flags = done_flags[child_level - 1]
             pool = [
                 c for c in range(arity)
-                if not flags[base + c] and base + c in overlap
+                if not flags[base + c] and overlap[base + c]
             ]
             if not pool:
                 pool = [c for c in range(arity) if not flags[base + c]]
@@ -656,7 +645,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
     def _count_stab(self, leaf_index: int) -> None:
         """The traced counters of a descent that ended at *leaf_index*.
 
-        A stab reads the done flags and overlap sets but never writes
+        A stab reads the done flags and overlap flags but never writes
         them, so each level's view is recomputed here from the path (the
         level-``L`` node is ``leaf_index // arity ** (height - L)``): its
         live children, and among them the query-overlapping ones the
@@ -668,16 +657,16 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         arity, height = self._arity, self._height
         names = _stab_level_names(height)
         done_flags = self._done_flags
-        overlap_sets = self._overlap_sets
+        overlaps = self._overlap
         for level in range(1, height):
             base = arity * (leaf_index // arity ** (height - level))
             flags = done_flags[level]
-            overlap = overlap_sets[level]
+            overlap = overlaps[level]
             alive = overlapping = 0
             for node in range(base, base + arity):
                 if not flags[node]:
                     alive += 1
-                    if node in overlap:
+                    if overlap[node]:
                         overlapping += 1
             overlap_name, drain_name, pruned_name = names[level]
             if overlapping:
@@ -729,7 +718,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         ancestor = leaf_index
         arity = self._arity
         buckets = self._buckets
-        overlap_sets = self._overlap_sets
+        overlaps = self._overlap
         ready = self._ready
         need = self._need
         fast = self._combine_fast_path
@@ -749,7 +738,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
                 count = cell._count
             bucket = buckets[i]
             fifo = bucket.get(ancestor)
-            if fast and need[i] == 1 and not fifo and ancestor in overlap_sets[i]:
+            if fast and need[i] == 1 and not fifo and overlaps[i][ancestor]:
                 # Solo required interval with an empty FIFO: filing this
                 # cell would make the level ready and the drain below
                 # would pop exactly it — emit directly.  (Batch contents
@@ -759,7 +748,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
             else:
                 if fifo is None:
                     bucket[ancestor] = fifo = []
-                if not fifo and ancestor in overlap_sets[i]:
+                if not fifo and overlaps[i][ancestor]:
                     ready[i] += 1
                 fifo.append(cell)
                 buffered += count
@@ -782,11 +771,11 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         so the common no-emit case is one integer compare.
         """
         i = s - 1
-        required = self._required[i]
-        need = len(required)
+        need = self._need[i]
         ready = self._ready
         if ready[i] < need or not need:
             return []
+        required = self._required_intervals(s)
         bucket = self._buckets[i]
         if need == 1:
             # Solo required interval (every level where the query fits in
@@ -814,6 +803,14 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
                 out.append(cell)
         self.stats.buffered_records -= drained
         return out
+
+    def _required_intervals(self, s: int) -> list[int]:
+        """Level ``s``'s required interval indexes, ascending (built once)."""
+        required = self._required[s - 1]
+        if required is None:
+            flags = np.frombuffer(self._overlap[s - 1], dtype=np.uint8)
+            required = self._required[s - 1] = np.flatnonzero(flags).tolist()
+        return required
 
     def _final_flush(self) -> SampleBatch:
         """Drain every remaining bucket once all leaves have been read."""

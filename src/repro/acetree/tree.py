@@ -122,11 +122,13 @@ class AceTree:
     def attach_sample_cache(self, cache: SampleCache | None = None) -> SampleCache:
         """Attach (creating if needed) a combinable sample-reuse cache.
 
-        Subsequent :meth:`sample` streams consult the cache before
-        charging the disk and file freshly-read section cells into it;
-        repeated or overlapping range queries then skip page reads for
-        every leaf whose cells are still resident.  Returns the attached
-        cache (so callers can read ``cache.stats``).
+        Subsequent :meth:`sample` streams look each leaf up in the cache
+        once before charging the disk, and file every leaf they read from
+        disk into it as one entry; repeated or overlapping range queries
+        then skip page reads for every leaf still resident.  The cache's
+        ``hits``, ``misses``, ``insertions`` and ``evictions`` therefore
+        count leaves.  Returns the attached cache (so callers can read
+        ``cache.stats``).
         """
         if cache is None:
             cache = SampleCache()

@@ -1,4 +1,4 @@
-"""Combinable sample-reuse cache: a cache-aside, byte-budgeted LRU of cells.
+"""Combinable sample-reuse cache: a cache-aside, byte-budgeted LRU.
 
 The "C" in ACE — combinability (paper Section V) — means a section-``s``
 cell retrieved for one query is a Bernoulli sample of its level-``s``
@@ -12,14 +12,15 @@ the composed result guaranteed by the sampling-algebra composition rules
 This module is deliberately *mechanism only* (it lives in the storage
 layer and must not know about trees or queries — LAY001):
 
-* keys are caller-supplied tuples.  The ACE query layer keys cells by
-  ``(store cache token, section index s, level-s ancestor node, leaf)`` —
-  i.e. by the node interval the cell samples plus the leaf that physically
-  holds it, so a cell is only ever served back for the exact population it
-  was drawn from;
+* keys are caller-supplied tuples.  The ACE query layer caches whole
+  leaves, keyed ``(store cache token, leaf)``: Combine files a retrieved
+  leaf's ``h`` section cells together, so a leaf is reused whole or not at
+  all, and the token (changed when the store is freed) keeps an entry from
+  ever being served back for a population it was not drawn from;
 * values are opaque (the query layer stores decoded leaf views);
 * eviction is LRU over a byte budget, with per-entry byte charges supplied
-  at insert time.
+  at insert time.  An entry larger than the whole budget is refused
+  without evicting anything.
 
 Unlike :class:`~repro.storage.buffer.DecodeMemo` this cache is
 **cost-changing** by design: the caller skips the timed page reads
@@ -72,7 +73,7 @@ class CacheStats:
 
 
 class SampleCache:  # repro: shared[owner=serve.scheduler] single-writer LRU; sanitizer-checked, mutated only inside the owner's quanta
-    """Byte-budgeted LRU of decoded sample cells (cache-aside).
+    """Byte-budgeted LRU of decoded samples (cache-aside).
 
     Args:
         budget_bytes: maximum total bytes of cached entries; must be

@@ -98,7 +98,7 @@ class BrokenCombineStream(SampleStream):
 
     def _drain_level(self, s):
         bucket = self._buckets[s - 1]
-        required = self._required[s - 1]
+        required = self._required_intervals(s)
         out = []
         while all(bucket.get(j) for j in required):
             for i, j in enumerate(required):
@@ -337,7 +337,7 @@ def _shared_memo_mutant(tree, scenario: Scenario,
                         faults_active: bool) -> DifferentialReport:
     """Interleave two simulated tenants' leaf reads over one sample cache.
 
-    The attached cache admits no cell (a one-byte budget), so every leaf
+    The attached cache admits no leaf (a one-byte budget), so every leaf
     read ``put``s into it.  Tenants A, B and A then each take one batch of
     their own whole-domain stream: the third tenant's ``put`` is the A-B-A
     writer-episode pattern a concurrency-unsafe scheduler would produce.

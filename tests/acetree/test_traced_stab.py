@@ -39,7 +39,7 @@ class GenericStabStream(SampleStream):
         self.tree.disk.charge_records(self._height)
         arity = self._arity
         done_flags = self._done_flags
-        overlap_sets = self._overlap_sets
+        overlaps = self._overlap
         next_child = self._next_child
         alternate = self.alternate
         tracing = TRACER.enabled
@@ -47,11 +47,11 @@ class GenericStabStream(SampleStream):
         while level < self._height:
             base = arity * index
             child_level = level + 1
-            overlap = overlap_sets[child_level - 1]
+            overlap = overlaps[child_level - 1]
             flags = done_flags[child_level - 1]
             pool = [
                 c for c in range(arity)
-                if not flags[base + c] and base + c in overlap
+                if not flags[base + c] and overlap[base + c]
             ]
             if not pool or tracing:
                 alive = [c for c in range(arity) if not flags[base + c]]
