@@ -129,7 +129,7 @@ def test_ace_leaf_read(benchmark, ace_tree):
     indices = iter(i % ace_tree.num_leaves for i in range(10**6))
 
     def run():
-        return ace_tree.leaf_store.read_leaf(next(indices))
+        return ace_tree.leaf_store.read_leaf_view(next(indices))
 
     benchmark.pedantic(run, rounds=50, iterations=1)
 

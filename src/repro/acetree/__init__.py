@@ -8,7 +8,7 @@ Public surface:
   opens an online random-sample stream.
 * :class:`SampleStream` / :class:`SampleBatch` — the Shuttle/Combine query
   algorithm (Section VI).
-* :class:`TreeGeometry`, :class:`LeafNode`, :class:`InternalNodeView` —
+* :class:`TreeGeometry`, :class:`InternalNodeView` —
   structural views used by tests and by the k-d extension (Section VII,
   available by listing several ``key_fields``).
 * :mod:`analysis` helpers for Lemma 1 / Lemma 2.
@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .build import AceBuildParams, AceBuildReport, build_ace_tree
 from .geometry import TreeGeometry, choose_height
-from .nodes import InternalNodeView, LeafNode
+from .nodes import InternalNodeView
 from .query import SampleBatch, SampleStream
 from .storage import LeafStore, LeafStoreWriter
 from .tree import AceTree
@@ -32,7 +32,6 @@ __all__ = [
     "AceBuildReport",
     "AceTree",
     "InternalNodeView",
-    "LeafNode",
     "LeafStore",
     "LeafStoreWriter",
     "SampleBatch",

@@ -21,54 +21,26 @@ from ..core.intervals import Box
 from ..core.records import PageView, Record, Schema
 from .geometry import TreeGeometry
 
-__all__ = ["LeafNode", "LeafView", "InternalNodeView"]
-
-
-@dataclass(frozen=True, slots=True)
-class LeafNode:
-    """One materialized leaf: ``sections[s-1]`` is section ``s``'s records."""
-
-    index: int
-    sections: tuple[tuple[Record, ...], ...]
-
-    @property
-    def height(self) -> int:
-        """Number of sections (the tree height ``h``)."""
-        return len(self.sections)
-
-    @property
-    def num_records(self) -> int:
-        return sum(len(section) for section in self.sections)
-
-    def section(self, s: int) -> tuple[Record, ...]:
-        """Records of section ``s`` (1-based, matching the paper's L.S_s)."""
-        if not 1 <= s <= len(self.sections):
-            raise IndexError(f"section {s} out of range 1..{len(self.sections)}")
-        return self.sections[s - 1]
-
-    def section_range(self, s: int, geometry: TreeGeometry) -> Box:
-        """The box L.R_s sampled by section ``s`` of this leaf."""
-        return geometry.section_box(self.index, s)
+__all__ = ["LeafView", "InternalNodeView"]
 
 
 class LeafView:
     """A zero-copy columnar view of one serialized leaf.
 
-    Where :class:`LeafNode` is the fully-decoded leaf (every record a
-    Python tuple), a ``LeafView`` keeps the leaf's record payload as raw
-    bytes and exposes it through :class:`~repro.core.records.PageView` —
-    key columns come out as numpy views, and individual records are only
-    decoded when a consumer asks (``section_records`` / ``gather`` /
-    ``to_leaf_node``).  This is the handle the query hot path and the
-    sample-reuse cache share: both operate on whole cells as column
-    batches and defer per-record materialization.
+    The one in-memory form of a leaf.  It keeps the leaf's record payload
+    as raw bytes and exposes it through
+    :class:`~repro.core.records.PageView` — key columns come out as numpy
+    views, and records are only decoded when a consumer asks
+    (``page.records`` / ``section_records``).  This is the handle the query
+    hot path and the sample-reuse cache share: both operate on whole cells
+    as column batches and defer per-record materialization.
 
     The record payload is contiguous: section ``s`` (1-based) occupies
     rows ``starts[s-1]:starts[s]`` of the leaf's record array.
     """
 
     __slots__ = ("index", "schema", "counts", "starts", "byte_size",
-                 "page", "_node", "_starts_array")
+                 "page", "_starts_array")
 
     def __init__(
         self,
@@ -92,7 +64,6 @@ class LeafView:
             else starts[-1] * schema.record_size
         )
         self.page = PageView(schema, payload, starts[-1])
-        self._node: LeafNode | None = None
         self._starts_array = None
 
     @property
@@ -115,34 +86,11 @@ class LeafView:
     def num_records(self) -> int:
         return self.starts[-1]
 
-    def column_array(self, name: str):
-        """One key column across *all* sections as a numpy view."""
-        return self.page.column_array(name)
-
-    def gather(self, indices) -> list[Record]:
-        """Decode just the rows at ``indices`` of the leaf's record array."""
-        return self.page.gather(indices)
-
     def section_records(self, s: int) -> tuple[Record, ...]:
-        """Fully-decoded records of section ``s`` (1-based)."""
-        return self.to_leaf_node().section(s)
-
-    def to_leaf_node(self) -> LeafNode:
-        """Materialize (and cache) the eager :class:`LeafNode` twin.
-
-        Record-for-record identical to decoding the serialized sections
-        directly; the batch decode runs once per view.
-        """
-        if self._node is None:
-            records = self.page.records
-            self._node = LeafNode(
-                index=self.index,
-                sections=tuple(
-                    tuple(records[lo:hi])
-                    for lo, hi in zip(self.starts, self.starts[1:])
-                ),
-            )
-        return self._node
+        """Fully-decoded records of section ``s`` (1-based, the paper's L.S_s)."""
+        if not 1 <= s <= len(self.counts):
+            raise IndexError(f"section {s} out of range 1..{len(self.counts)}")
+        return tuple(self.page.records[self.starts[s - 1]:self.starts[s]])
 
 
 @dataclass(frozen=True, slots=True)

@@ -82,7 +82,6 @@ __all__ = ["Cell", "SampleBatch", "SampleStream", "make_filter"]
 _FIRST_K = 100
 _TTFK_BOUNDS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
                 1.0, 2.5, 5.0)
-_STAB_DEPTH_BOUNDS = (1, 2, 3, 4, 6, 8, 12, 16)
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
@@ -566,8 +565,7 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
 
         While tracing, every level bumps ``stab.level.{L}.overlap`` (some
         live child overlaps the query) or ``.drain`` (none does), plus
-        ``.pruned`` by the live children an overlapping sibling beat, and
-        the stab ends with one ``query.stab_depth`` observation.
+        ``.pruned`` by the live children an overlapping sibling beat.
         """
         self.stats.stabs += 1
         # CPU for the descent (internal nodes are memory resident).
@@ -649,9 +647,8 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
         them, so each level's view is recomputed here from the path (the
         level-``L`` node is ``leaf_index // arity ** (height - L)``): its
         live children, and among them the query-overlapping ones the
-        descent preferred.  Levels are counted in descent order, then one
-        ``query.stab_depth`` observation; the descents stay free of
-        tracing code.
+        descent preferred.  Levels are counted in descent order; the
+        descents stay free of tracing code.
         """
         counter = METRICS.counter
         arity, height = self._arity, self._height
@@ -677,7 +674,6 @@ class SampleStream:  # repro: shared[owner=serve.scheduler] one stream per trave
                     counter(pruned_name).inc(alive - overlapping)
             else:
                 counter(drain_name).inc()
-        METRICS.histogram("query.stab_depth", _STAB_DEPTH_BOUNDS).observe(height - 1)
 
     def _mark_done(self, leaf_index: int) -> None:
         """Mark a leaf done and propagate doneness up the tree."""

@@ -19,10 +19,8 @@ pattern the paper's cost argument relies on.
 
 from __future__ import annotations
 
-import struct
-from typing import Iterator
-
 import itertools
+import struct
 
 from ..core.errors import SerializationError, StorageError
 from ..core.records import Schema
@@ -30,7 +28,7 @@ from ..obs.tracer import TRACER
 from ..storage.buffer import DecodeMemo
 from ..storage.disk import SimulatedDisk
 from ..storage.recovery import read_page_resilient, touch_page_resilient
-from .nodes import LeafNode, LeafView
+from .nodes import LeafView
 
 __all__ = ["LeafStore", "LeafStoreWriter"]
 
@@ -45,8 +43,8 @@ _DIR_ENTRY = struct.Struct("<Q")
 _EXTENT_PAGES = 256
 
 #: Decoded leaves memoized per store.  Shuttle stabs revisit the same hot
-#: leaves across queries; memoizing the (immutable) LeafNode skips the
-#: struct decode while the I/O is still charged in full.
+#: leaves across queries; memoizing the decoded LeafView skips the parse
+#: while the I/O is still charged in full, page by page.
 _LEAF_MEMO_LEAVES = 4096
 
 
@@ -245,10 +243,11 @@ class LeafStore:
         Python decode is deferred (header, section counts, and payload
         length are still validated here, so corruption surfaces at read
         time exactly as before).  Decoded views are memoized: a memo hit
-        performs the identical timed page reads and per-record CPU charge
-        as a cold read — the simulated cost never depends on the memo —
-        and only skips the parse (the view's payload is immutable, so
-        sharing is safe).
+        charges the same pages (``touch_page_resilient`` where a miss calls
+        ``read_page_resilient``, so faults fire at the same ordinals) and
+        the same per-record CPU as a cold read — the simulated cost never
+        depends on the memo — and only skips the parse (the view's payload
+        is immutable, so sharing is safe).
         """
         return self._read(leaf_index, as_view=True)
 
@@ -263,38 +262,26 @@ class LeafStore:
         return self._read(leaf_index, as_view=False)
 
     def _read(self, leaf_index: int, as_view: bool):
-        self._check_leaf(leaf_index)
-        start = self._offsets[leaf_index]
-        end = self._offsets[leaf_index + 1]
-        page_size = self.disk.page_size
-        # leaf_page_span(), inlined to avoid re-validating the index.
-        first = start // page_size
-        last = max(first, (end - 1) // page_size) if end > start else first
-        span = last - first + 1
+        first, span = self.leaf_page_span(leaf_index)
+        pids = self._data_page_ids[first:first + span]
+        disk = self.disk
         # Every simulated page read below is attributed to pages_read;
         # check_sample verifies the attribution balances (cost conservation).
         self.pages_read += span
-        with TRACER.span("leaf_store.read_leaf", disk=self.disk) as sp:
+        with TRACER.span("leaf_store.read_leaf", disk=disk) as sp:
             if sp is not None:
                 sp.attrs["leaf"] = leaf_index
                 sp.attrs["pages"] = span
             cached = self._memo.get(leaf_index)
             if cached is not None:
-                disk = self.disk
-                if disk.can_fault:
-                    ids = self._data_page_ids
-                    for i in range(span):
-                        touch_page_resilient(disk, ids[first + i])
-                else:
-                    disk.touch_pages(self._data_page_ids[first:first + span])
+                for pid in pids:
+                    touch_page_resilient(disk, pid)
                 disk.charge_records(cached.num_records)
                 return cached if as_view else cached.page.payload
-            chunks = [
-                read_page_resilient(self.disk, self._data_page_ids[first + i])
-                for i in range(span)
-            ]
-            blob = b"".join(chunks)
-            local = start - first * page_size
+            blob = b"".join([read_page_resilient(disk, pid) for pid in pids])
+            start = self._offsets[leaf_index]
+            end = self._offsets[leaf_index + 1]
+            local = start - first * disk.page_size
             blob = blob[local:local + (end - start)]
             counts, pos, need = self._check_leaf_blob(blob, leaf_index)
             payload = memoryview(blob)[pos:pos + need]
@@ -309,15 +296,6 @@ class LeafStore:
             )
             self._memo.put(leaf_index, view)
             return view
-
-    def read_leaf(self, leaf_index: int) -> LeafNode:
-        """Fetch one leaf fully decoded (the eager twin of the view read)."""
-        return self.read_leaf_view(leaf_index).to_leaf_node()
-
-    def iter_leaves(self) -> Iterator[LeafNode]:
-        """All leaves in index order (sequential full-store read)."""
-        for leaf_index in range(self.num_leaves):
-            yield self.read_leaf(leaf_index)
 
     def _check_leaf_blob(self, blob: bytes, expected_index: int):
         """Validate one leaf's bytes and charge its records.

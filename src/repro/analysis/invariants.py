@@ -121,7 +121,7 @@ def check_tree(
     tallied = [0] * num_leaves
     with tree.disk.unmetered():
         for leaf_index in range(leaves_to_check):
-            leaf = tree.leaf_store.read_leaf(leaf_index)
+            leaf = tree.leaf_store.read_leaf_view(leaf_index)
             if leaf.index != leaf_index:
                 _fail(f"leaf {leaf_index} stores index {leaf.index}")
             if leaf.height != geometry.height:
@@ -131,7 +131,7 @@ def check_tree(
                 )
             for s in range(1, geometry.height + 1):
                 box = geometry.section_box(leaf_index, s)
-                for record in leaf.section(s):
+                for record in leaf.section_records(s):
                     point = key_of(record)
                     if not box.contains_point(point):
                         _fail(
@@ -140,9 +140,8 @@ def check_tree(
                         )
             # Tally each record against the cell its *key* lives in (the
             # section decides where it is stored, not where it belongs).
-            for section in leaf.sections:
-                for record in section:
-                    tallied[geometry.locate_leaf(key_of(record))] += 1
+            for record in leaf.page.records:
+                tallied[geometry.locate_leaf(key_of(record))] += 1
 
         if (
             geometry.has_counts

@@ -23,7 +23,7 @@ Design constraints, in order:
   The accountant is armed by ``TraceRecorder.install`` and disarmed (data
   retained for readout) by ``uninstall``.
 * **Sanctioned boundary.**  Only the storage charge points
-  (``disk.read_page`` / ``touch_pages`` / ``write_page`` and the
+  (``disk.read_page`` / ``touch_page`` / ``write_page`` and the
   recovery retry loops) may call :meth:`record_reads` /
   :meth:`record_writes` / :meth:`record_io`; lint rule OBS002 pins the
   call-site set so ad-hoc attribution can't silently double-count.
@@ -95,23 +95,23 @@ class CostAccountant:  # repro: shared[lock=_lock] attribution ledger; every mut
                 stats.page_writes - writes_delta,
             )
 
-    def record_reads(self, stats, count: int = 1) -> None:
-        """Attribute *count* page reads just charged to *stats*.
+    def record_reads(self, stats) -> None:
+        """Attribute the page read just charged to *stats*.
 
         Call **after** incrementing ``stats.page_reads`` so the baseline
         arithmetic in :meth:`_track` sees the post-charge counter.
         """
         label_set = CONTEXT.label_key()
         with self._lock:
-            self._track(stats, count, 0)
-            self._reads[label_set] = self._reads.get(label_set, 0) + count
+            self._track(stats, 1, 0)
+            self._reads[label_set] = self._reads.get(label_set, 0) + 1
 
-    def record_writes(self, stats, count: int = 1) -> None:
-        """Attribute *count* page writes just charged to *stats*."""
+    def record_writes(self, stats) -> None:
+        """Attribute the page write just charged to *stats*."""
         label_set = CONTEXT.label_key()
         with self._lock:
-            self._track(stats, 0, count)
-            self._writes[label_set] = self._writes.get(label_set, 0) + count
+            self._track(stats, 0, 1)
+            self._writes[label_set] = self._writes.get(label_set, 0) + 1
 
     def record_io(self, seconds: float) -> None:
         """Attribute *seconds* of charged retry/backoff I/O delay."""

@@ -89,8 +89,21 @@ WALL_KEYS = ("start_wall", "end_wall", "wall_seconds")
 
 
 def strip_wall_keys(record: dict) -> dict:
-    """A copy of *record* without any :data:`WALL_KEYS` entries."""
-    return {key: value for key, value in record.items() if key not in WALL_KEYS}
+    """A copy of *record* without any :data:`WALL_KEYS` entries, at any depth.
+
+    Spans carry their wall keys at the top; a quality record nests one in
+    each time-to-accuracy entry of its ``estimator`` summary.
+    """
+    out = {}
+    for key, value in record.items():
+        if key in WALL_KEYS:
+            continue
+        if isinstance(value, dict):
+            value = strip_wall_keys(value)
+        elif isinstance(value, list):
+            value = [strip_wall_keys(v) if isinstance(v, dict) else v for v in value]
+        out[key] = value
+    return out
 
 # key -> (required, allowed types); floats accept ints too (JSON round-trip).
 SPAN_SCHEMA: dict = {  # repro: shared[frozen] constant validation table

@@ -3,11 +3,13 @@
 Post-hoc traces explain a whole run; the flight recorder explains the
 *last few milliseconds before something went wrong*.  It is a fixed-size
 ring buffer that — while armed — captures every finished span, every
-metric update, every finalized quality record, and every injected
-storage fault, overwriting the oldest events once full.  Memory is
-bounded by construction and the disarmed cost is one attribute check per
-event source (the same branch discipline as the tracer's no-op span
-path), so instrumented call sites never pay for it in production
+finalized quality record, and every injected storage fault, overwriting
+the oldest events once full.  Metric updates stay out of the ring (they
+are run aggregates, read from the metrics snapshot); dumps written
+before that hold ``"metric"`` events, which still validate and render.
+Memory is bounded by construction and the disarmed cost is one attribute
+check per event source (the same branch discipline as the tracer's no-op
+span path), so instrumented call sites never pay for it in production
 paths.
 
 ``dump()`` writes the ring as a **kind-versioned JSONL artifact** using
@@ -183,18 +185,6 @@ class FlightRecorder:  # repro: shared[lock=_lock] bounded event ring; every mut
         if not self.enabled:
             return
         self._record({"kind": "span", **span_to_dict(record)})
-
-    def record_metric(self, name: str, metric: str, value) -> None:
-        """Capture one metric update (``metric`` is counter/gauge/histogram)."""
-        if not self.enabled:
-            return
-        self._record({
-            "kind": "metric",
-            "v": FLIGHT_VERSION,
-            "name": name,
-            "metric": metric,
-            "value": float(value),
-        })
 
     def record_fault(self, event_dict: dict) -> None:
         """Capture one injected storage fault (``FaultEvent.as_dict()``).

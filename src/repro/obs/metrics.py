@@ -32,8 +32,9 @@ Instrumentation that feeds the registry from hot paths guards on
 lock-protected — one lock per metric, making concurrent ``inc`` and
 ``observe`` exact.  Lookups that find an existing metric read the
 registry's dicts without a lock (single dict reads under the GIL; every
-write holds the lock).  Armed flight recorders (:mod:`repro.obs.flight`)
-see every update as a ``"metric"`` event.
+write holds the lock).  Metric updates do not enter the flight recorder's
+ring (:mod:`repro.obs.flight`), which keeps its room for spans, faults and
+quality records; a run's aggregates are the snapshot.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from bisect import bisect_left
 from threading import Lock
 
 from .context import CONTEXT
-from .flight import FLIGHT
 from .tracer import TRACER
 
 __all__ = [
@@ -71,8 +71,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         with self._lock:
             self.value += amount
-        if FLIGHT.enabled:
-            FLIGHT.record_metric(self.name, "counter", amount)
 
 
 class Gauge:
@@ -88,8 +86,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self.value = value
-        if FLIGHT.enabled:
-            FLIGHT.record_metric(self.name, "gauge", value)
 
 
 class Histogram:
@@ -125,8 +121,6 @@ class Histogram:
             self.count += 1
         if TRACER.enabled:
             self._record_exemplar(bucket, value, span_id)
-        if FLIGHT.enabled:
-            FLIGHT.record_metric(self.name, "histogram", value)
 
     def _record_exemplar(
         self, bucket: int, value: float, span_id: int | None

@@ -12,7 +12,7 @@ time bought**:
   stream is localized in time rather than only detected at the end, plus a
   binned Kolmogorov–Smirnov statistic over the whole prefix.
 * :class:`CoverageMonitor` — per-stratum arrival counts over the predicate
-  range (equal-width strata by default; callers may bin however they like).
+  range (the uniformity monitor's equal-width cells).
 * :class:`EstimatorMonitor` — CLT running confidence intervals for the
   SUM/AVG estimators (the :class:`~repro.core.stats.CLTEstimator` that
   ``repro.apps.online_agg.OnlineAggregator`` also uses) with
@@ -137,10 +137,10 @@ class UniformityMonitor:
 
     Values are binned into ``bins`` equal-width cells of ``[lo, hi)``.  The
     chi-square statistic of each window is computed against ``expected`` —
-    per-cell probabilities, uniform by default (correct for the SALE
-    workloads, whose keys are uniform; skewed callers pass their own).  A
-    window that rejects at ``alpha`` pins the drift to its own arrival
-    interval, which a single end-of-stream test cannot do.
+    uniform per-cell probabilities (correct for the SALE workloads, whose
+    keys are uniform).  A window that rejects at ``alpha`` pins the drift
+    to its own arrival interval, which a single end-of-stream test cannot
+    do.
 
     The KS statistic is computed on the binned empirical CDF of the whole
     prefix, so it is a lower bound on the exact one-sample statistic with
@@ -148,29 +148,18 @@ class UniformityMonitor:
     asymptotic Kolmogorov distribution.
     """
 
-    def __init__(
-        self,
-        lo: float,
-        hi: float,
-        config: QualityConfig,
-        expected: tuple[float, ...] | None = None,
-    ) -> None:
+    def __init__(self, lo: float, hi: float, config: QualityConfig) -> None:
         if not hi > lo:
             raise ValueError(f"need hi > lo, got [{lo}, {hi})")
         self.lo = lo
         self.hi = hi
         self.config = config
         bins = config.bins
-        if expected is None:
-            expected = (1.0 / bins,) * bins
-        if len(expected) != bins:
-            raise ValueError(
-                f"expected has {len(expected)} cells for {bins} bins"
-            )
-        total = sum(expected)
-        if not math.isfinite(total) or total <= 0:
-            raise ValueError("expected probabilities must sum to a positive value")
-        self.expected = tuple(p / total for p in expected)
+        # Normalised by their float sum, not by 1.0: the exported
+        # statistics are computed from these exact values.
+        uniform = (1.0 / bins,) * bins
+        total = sum(uniform)
+        self.expected = tuple(p / total for p in uniform)
         self._scale = bins / (hi - lo)
         self._window_counts = [0] * bins
         self._window_n = 0
@@ -302,32 +291,23 @@ class UniformityMonitor:
 class CoverageMonitor:
     """Per-stratum arrival counts over the predicate range.
 
-    Strata default to the same equal-width cells the uniformity monitor
-    uses; a custom ``stratum_of`` maps a key to a stratum index in
-    ``[0, strata)`` (e.g. an ACE level ancestor index).  Coverage — the
-    fraction of strata that have received at least one sample — is the
-    cheap early-warning signal: a stream that never touches a stratum is
-    biased long before chi-square has the power to say so.
+    Strata are the same equal-width cells the uniformity monitor uses.
+    Coverage — the fraction of strata that have received at least one
+    sample — is the cheap early-warning signal: a stream that never
+    touches a stratum is biased long before chi-square has the power to
+    say so.
     """
 
-    def __init__(
-        self,
-        lo: float,
-        hi: float,
-        strata: int,
-        stratum_of=None,
-    ) -> None:
+    def __init__(self, lo: float, hi: float, strata: int) -> None:
         if strata < 1:
             raise ValueError(f"need at least one stratum, got {strata}")
         self.strata = strata
         self.counts = [0] * strata
-        if stratum_of is None:
-            scale = strata / (hi - lo)
-            stratum_of = lambda v: int((v - lo) * scale)  # noqa: E731
-        self._stratum_of = stratum_of
+        self._lo = lo
+        self._scale = strata / (hi - lo)
 
     def observe(self, value: float) -> None:
-        index = self._stratum_of(value)
+        index = int((value - self._lo) * self._scale)
         if 0 <= index < self.strata:
             self.counts[index] += 1
         elif index == self.strata:  # hi-edge float rounding
@@ -463,16 +443,13 @@ class StreamQualityMonitor:
     Args:
         label: unique name for this monitored stream (e.g. ``"ACE Tree/q0"``).
         key_of: record -> the indexed key the predicate constrains (for 2-D
-            queries, one marginal — a uniform sample has uniform marginals).
+            queries, one marginal — a uniform sample has uniform marginals);
+            the CI/TTA monitor estimates its mean.
         lo/hi: the predicate range on that key (half-open).
         group: aggregation key for reporting (defaults to ``label``); the
             figure harness groups by sampler name.
-        value_of: record -> the aggregated value for the CI/TTA monitor
-            (defaults to ``key_of``).
         population: matching-record count (exact or estimated) for the
             finite-population correction; ``None`` disables the FPC.
-        expected: per-bin probabilities for the uniformity test (uniform by
-            default).
         metrics: registry receiving the ``quality.*`` metrics (the process
             registry by default).
     """
@@ -485,9 +462,7 @@ class StreamQualityMonitor:
         hi: float,
         *,
         group: str | None = None,
-        value_of=None,
         population: float | None = None,
-        expected: tuple[float, ...] | None = None,
         config: QualityConfig | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -499,8 +474,7 @@ class StreamQualityMonitor:
         self.config = config if config is not None else QualityConfig()
         self.metrics = metrics if metrics is not None else METRICS
         self._key_of = key_of
-        self._value_of = value_of if value_of is not None else key_of
-        self.uniformity = UniformityMonitor(lo, hi, self.config, expected)
+        self.uniformity = UniformityMonitor(lo, hi, self.config)
         self.coverage = CoverageMonitor(lo, hi, self.config.bins)
         self.estimator = EstimatorMonitor(self.config, population)
         self.lo = lo
@@ -550,15 +524,14 @@ class StreamQualityMonitor:
             self.start_sim = clock
         if self._start_wall is None:
             self._start_wall = perf_counter()
-        key_of = self._key_of
+        keys = list(map(self._key_of, records))
         uniformity = self.uniformity
         coverage = self.coverage
         estimator = self.estimator
-        for record in records:
-            key = key_of(record)
+        for key in keys:
             uniformity.observe(key, clock)
             coverage.observe(key)
-        estimator.fold(map(self._value_of, records))
+        estimator.fold(keys)
         self.batches += 1
         self.end_sim = clock
         estimator.batch_end(

@@ -87,26 +87,23 @@ class DecodeMemo:  # repro: shared[owner=serve.scheduler] cost-transparent memo;
     the simulated disk is charged (page-hit CPU instead of an I/O).  This
     memo is the opposite: it never changes the charged cost.  The caller is
     expected to perform **exactly the same timed disk accesses and CPU
-    charges** on a hit as on a miss — same ``read_page`` calls in the same
+    charges** on a hit as on a miss — same pages charged in the same
     order, same ``charge_records`` — and use the memo only to skip the
     Python-level struct decoding of bytes it has already decoded.  The
     simulated clock, head position, and stats are therefore bit-identical
     with the memo on or off; only real wall-clock time improves.
 
-    Decoded values are shared between callers, so only memoize immutable
-    objects (tuples, frozen dataclasses like ``LeafNode``).
+    Decoded values are shared between callers, so only memoize values
+    nobody mutates (the leaf store's ``LeafView`` handles).
     """
 
-    __slots__ = ("capacity", "_frames", "hits", "misses", "evictions")
+    __slots__ = ("capacity", "_frames")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise BufferPoolError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._frames: OrderedDict[object, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def __contains__(self, key: object) -> bool:
         return key in self._frames
@@ -115,18 +112,10 @@ class DecodeMemo:  # repro: shared[owner=serve.scheduler] cost-transparent memo;
         return len(self._frames)
 
     def get(self, key: object):
-        """The memoized value for ``key``, or ``None``; charges nothing."""
-        frames = self._frames
-        value = frames.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        # Recency only matters once eviction is possible; below capacity
-        # the hit path skips the order maintenance (no observable
-        # difference — nothing is ever evicted before the memo fills).
-        if len(frames) >= self.capacity:
-            frames.move_to_end(key)
-        self.hits += 1
+        """The memoized value for ``key`` (now the most recent), or ``None``."""
+        value = self._frames.get(key)
+        if value is not None:
+            self._frames.move_to_end(key)
         return value
 
     def put(self, key: object, value: object) -> None:
@@ -134,15 +123,9 @@ class DecodeMemo:  # repro: shared[owner=serve.scheduler] cost-transparent memo;
         frames = self._frames
         if key in frames:
             frames.move_to_end(key)
-            frames[key] = value
-            return
-        while len(frames) >= self.capacity:
+        elif len(frames) >= self.capacity:
             frames.popitem(last=False)
-            self.evictions += 1
         frames[key] = value
 
     def clear(self) -> None:
         self._frames.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0

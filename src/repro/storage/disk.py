@@ -78,9 +78,9 @@ class SimulatedDisk:  # repro: shared[owner=serve.scheduler] single-writer clock
             :class:`~repro.core.errors.PageCorruptionError`.
     """
 
-    #: Whether page accesses can raise injected faults.  The plain
-    #: simulated disk never faults, so resilient read paths may skip the
-    #: retry wrapper; :class:`repro.testkit.faults.FaultyDisk` flips this.
+    #: Whether page accesses can raise injected faults (the serve
+    #: scheduler then scopes fault ordinals per tenant);
+    #: :class:`repro.testkit.faults.FaultyDisk` flips this.
     can_fault = False
 
     def __init__(
@@ -148,15 +148,7 @@ class SimulatedDisk:  # repro: shared[owner=serve.scheduler] single-writer clock
         :class:`PageCorruptionError` *after* the access has been charged —
         the seek and transfer happened, the data is just bad.
         """
-        if pid not in self._allocated:
-            raise PageError(f"reading unallocated page {pid}")
-        self._charge_access(pid)
-        self.stats.page_reads += 1
-        self.stats.bytes_read += self.page_size
-        if COST.enabled:
-            # Attributed before the checksum verdict: the read was
-            # charged whether or not the data turns out corrupt.
-            COST.record_reads(self.stats)
+        self._charge_read(pid)
         data = self._pages.get(pid, bytes(self.page_size))
         if self.checksums:
             stored = self._checksums.get(pid)
@@ -169,68 +161,16 @@ class SimulatedDisk:  # repro: shared[owner=serve.scheduler] single-writer clock
     def touch_page(self, pid: int) -> None:
         """Charge one page read without returning (or verifying) the data.
 
-        Clock, seek/transfer decision, and every counter move exactly as in
-        :meth:`read_page`; only the payload lookup and checksum pass are
-        skipped.  For callers that already hold the decoded content (the
-        leaf-store memo) the access is pure accounting, so the simulated
-        cost stays honest while the wall-clock cost drops to the charge
-        itself.  Fault-injecting subclasses override this to route through
-        :meth:`read_page`, keeping fault ordinals access-for-access
-        identical to a data-bearing read.
+        The charge is :meth:`read_page`'s own step; only the payload lookup
+        and checksum pass are skipped.  For callers that already hold the
+        decoded content (the leaf-store memo) the access is pure
+        accounting, so the simulated cost stays honest while the
+        wall-clock cost drops to the charge itself.  Fault-injecting
+        subclasses override this to route through :meth:`read_page`,
+        keeping fault ordinals access-for-access identical to a
+        data-bearing read.
         """
-        if pid not in self._allocated:
-            raise PageError(f"reading unallocated page {pid}")
-        self._charge_access(pid)
-        self.stats.page_reads += 1
-        self.stats.bytes_read += self.page_size
-        if COST.enabled:
-            COST.record_reads(self.stats)
-
-    def touch_pages(self, pids) -> None:
-        """Charge a run of page reads (:meth:`touch_page` for each id).
-
-        One call for a leaf's whole page span: the same accesses in the
-        same order — seek/sequential decisions, clock arithmetic, and
-        counters are identical to touching each page individually — minus
-        the per-page call overhead.  Fault-injecting subclasses override
-        this to route through :meth:`read_page` page by page.
-        """
-        allocated = self._allocated
-        stats = self.stats
-        cost = self.cost
-        page_size = self.page_size
-        head = self._head
-        clock = self.clock
-        io_time = stats.io_time
-        seeks = sequential = 0
-        for pid in pids:
-            if pid not in allocated:
-                # Restore the charges of the pages that did get touched
-                # before re-raising, mirroring the incremental updates of
-                # the per-page path.
-                self._head, self.clock, stats.io_time = head, clock, io_time
-                stats.seeks += seeks
-                stats.sequential_accesses += sequential
-                raise PageError(f"reading unallocated page {pid}")
-            if head is not None and pid == head + 1:
-                elapsed = cost.sequential_io_time(page_size)
-                sequential += 1
-            else:
-                elapsed = cost.random_io_time(page_size)
-                seeks += 1
-            head = pid
-            clock += elapsed
-            io_time += elapsed
-        self._head = head
-        self.clock = clock
-        stats.io_time = io_time
-        stats.seeks += seeks
-        stats.sequential_accesses += sequential
-        count = len(pids)
-        stats.page_reads += count
-        stats.bytes_read += count * page_size
-        if count and COST.enabled:
-            COST.record_reads(stats, count)
+        self._charge_read(pid)
 
     def write_page(self, pid: int, data: bytes) -> None:
         """Write one page (padded to the page size), charging like a read."""
@@ -252,6 +192,18 @@ class SimulatedDisk:  # repro: shared[owner=serve.scheduler] single-writer clock
         # injected underneath (repro.testkit.faults) leaves it stale, which
         # is exactly how the corruption is later detected.
         self._checksums[pid] = crc32(data)
+
+    def _charge_read(self, pid: int) -> None:
+        """The one charge of a page read, data-bearing or not."""
+        if pid not in self._allocated:
+            raise PageError(f"reading unallocated page {pid}")
+        self._charge_access(pid)
+        self.stats.page_reads += 1
+        self.stats.bytes_read += self.page_size
+        if COST.enabled:
+            # Attributed before any checksum verdict: the read was
+            # charged whether or not the data turns out corrupt.
+            COST.record_reads(self.stats)
 
     def _charge_access(self, pid: int) -> None:
         if self._head is not None and pid == self._head + 1:

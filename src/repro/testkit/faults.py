@@ -346,10 +346,6 @@ class FaultyDisk(SimulatedDisk):
         # checksum verification of the (possibly rotted) stored bytes.
         self.read_page(pid)
 
-    def touch_pages(self, pids) -> None:
-        for pid in pids:
-            self.read_page(pid)
-
     def write_page(self, pid: int, data: bytes) -> None:
         if not (self.armed and self.plan.active):
             super().write_page(pid, data)

@@ -17,6 +17,8 @@ from repro.acetree import (
 from repro.core import Field, Schema
 from repro.storage import CostModel, HeapFile, SimulatedDisk
 
+from ..conftest import leaf_views
+
 SCHEMA = Schema([Field("k", "i8"), Field("v", "f8")])
 
 
@@ -75,11 +77,7 @@ class TestLemma2AgainstBuiltTrees:
     def test_mean_section_size_matches(self):
         n, height = 3000, 5
         tree = build_tree(n, height, seed=1)
-        sizes = [
-            len(leaf.section(s))
-            for leaf in tree.leaf_store.iter_leaves()
-            for s in range(1, height + 1)
-        ]
+        sizes = [count for leaf in leaf_views(tree.leaf_store) for count in leaf.counts]
         assert np.mean(sizes) == pytest.approx(expected_section_size(n, height))
 
     def test_cell_sizes_concentrate(self):
@@ -87,11 +85,7 @@ class TestLemma2AgainstBuiltTrees:
         n, height = 4000, 4
         tree = build_tree(n, height, seed=2)
         mu = expected_section_size(n, height)
-        sizes = [
-            len(leaf.section(s))
-            for leaf in tree.leaf_store.iter_leaves()
-            for s in range(1, height + 1)
-        ]
+        sizes = [count for leaf in leaf_views(tree.leaf_store) for count in leaf.counts]
         # Binomial concentration: max should stay within ~5 sigma + mean.
         sigma = math.sqrt(mu)
         assert max(sizes) < mu + 6 * sigma

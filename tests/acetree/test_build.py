@@ -11,7 +11,7 @@ from repro.core import Box, Field, Schema
 from repro.core.errors import IndexBuildError
 from repro.storage import CostModel, HeapFile, SimulatedDisk
 
-from ..conftest import make_kv_records, make_xy_records
+from ..conftest import leaf_views, make_kv_records, make_xy_records
 
 
 @pytest.fixture
@@ -88,9 +88,8 @@ class TestRecordPlacement:
     def test_all_records_stored_exactly_once(self, disk, kv_schema):
         heap, tree = build_small(disk, kv_schema, n=1500, height=5)
         stored = []
-        for leaf in tree.leaf_store.iter_leaves():
-            for section in leaf.sections:
-                stored.extend(section)
+        for leaf in leaf_views(tree.leaf_store):
+            stored.extend(leaf.page.records)
         assert sorted(r[:2] for r in stored) == sorted(
             r[:2] for r in heap.scan()
         )
@@ -98,10 +97,10 @@ class TestRecordPlacement:
     def test_section_ranges_respected(self, disk, kv_schema):
         _heap, tree = build_small(disk, kv_schema, n=1500, height=5)
         geom = tree.geometry
-        for leaf in tree.leaf_store.iter_leaves():
+        for leaf in leaf_views(tree.leaf_store):
             for s in range(1, tree.height + 1):
                 box = geom.section_box(leaf.index, s)
-                for record in leaf.section(s):
+                for record in leaf.section_records(s):
                     assert box.contains_point((record[0],)), (
                         f"leaf {leaf.index} section {s}: key {record[0]} "
                         f"outside {box}"
@@ -147,20 +146,13 @@ class TestMedianSplits:
         records += [(9, float(i), b"") for i in range(100)]
         heap = HeapFile.bulk_load(disk, kv_schema, records)
         tree = build_ace_tree(heap, AceBuildParams(key_fields=("k",), height=4))
-        stored = sum(
-            len(s) for leaf in tree.leaf_store.iter_leaves() for s in leaf.sections
-        )
+        stored = sum(leaf.num_records for leaf in leaf_views(tree.leaf_store))
         assert stored == 400
 
     def test_single_record(self, disk, kv_schema):
         heap = HeapFile.bulk_load(disk, kv_schema, [(42, 1.0, b"")])
         tree = build_ace_tree(heap, AceBuildParams(key_fields=("k",), height=2))
-        stored = [
-            r
-            for leaf in tree.leaf_store.iter_leaves()
-            for s in leaf.sections
-            for r in s
-        ]
+        stored = [r for leaf in leaf_views(tree.leaf_store) for r in leaf.page.records]
         assert len(stored) == 1
         assert stored[0][0] == 42
 
@@ -266,8 +258,11 @@ class TestDeterminism:
                 heap, AceBuildParams(key_fields=("k",), height=4, seed=seed)
             )
             return [
-                tuple(tuple(r[:2] for r in s) for s in leaf.sections)
-                for leaf in tree.leaf_store.iter_leaves()
+                tuple(
+                    tuple(r[:2] for r in leaf.section_records(s))
+                    for s in range(1, leaf.height + 1)
+                )
+                for leaf in leaf_views(tree.leaf_store)
             ]
 
         assert build(5) == build(5)
@@ -283,12 +278,7 @@ class TestKdBuild:
             heap, AceBuildParams(key_fields=("x", "y"), height=5)
         )
         assert tree.dims == 2
-        stored = [
-            r
-            for leaf in tree.leaf_store.iter_leaves()
-            for s in leaf.sections
-            for r in s
-        ]
+        stored = [r for leaf in leaf_views(tree.leaf_store) for r in leaf.page.records]
         assert sorted(r[2] for r in stored) == list(range(1000))
 
     def test_2d_section_boxes_respected(self):
@@ -299,10 +289,10 @@ class TestKdBuild:
             heap, AceBuildParams(key_fields=("x", "y"), height=5)
         )
         geom = tree.geometry
-        for leaf in tree.leaf_store.iter_leaves():
+        for leaf in leaf_views(tree.leaf_store):
             for s in range(1, tree.height + 1):
                 box = geom.section_box(leaf.index, s)
-                for record in leaf.section(s):
+                for record in leaf.section_records(s):
                     assert box.contains_point((record[0], record[1]))
 
     def test_dims_exceed_height_rejected(self):

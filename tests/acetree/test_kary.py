@@ -16,6 +16,8 @@ from repro.core import Box, Field, Interval, Schema
 from repro.core.errors import IndexBuildError
 from repro.storage import CostModel, HeapFile, SimulatedDisk
 
+from ..conftest import leaf_views
+
 SCHEMA = Schema([Field("k", "i8"), Field("v", "f8")])
 
 
@@ -114,10 +116,10 @@ class TestKaryBuild:
         records, tree = build(2000, height=4, arity=arity, seed=1)
         geom = tree.geometry
         stored = []
-        for leaf in tree.leaf_store.iter_leaves():
+        for leaf in leaf_views(tree.leaf_store):
             for s in range(1, tree.height + 1):
                 box = geom.section_box(leaf.index, s)
-                for record in leaf.section(s):
+                for record in leaf.section_records(s):
                     stored.append(record)
                     assert box.contains_point((record[0],))
         assert Counter(r[1] for r in stored) == Counter(r[1] for r in records)

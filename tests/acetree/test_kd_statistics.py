@@ -11,6 +11,8 @@ from repro.core import Field, Schema
 from repro.storage import CostModel, HeapFile, SimulatedDisk
 from repro.testkit.stats import assert_uniform
 
+from ..conftest import leaf_views
+
 XY_SCHEMA = Schema([Field("x", "f8"), Field("y", "f8"), Field("tag", "i8")])
 KV_SCHEMA = Schema([Field("k", "i8"), Field("v", "f8")])
 
@@ -65,9 +67,8 @@ class TestKaryStatistics:
         records = [(rng.randrange(100_000), float(i)) for i in range(3000)]
         tree = build_kary(records, height=4, arity=3, seed=7)
         counts = np.zeros(4)
-        for leaf in tree.leaf_store.iter_leaves():
-            for s in range(1, 5):
-                counts[s - 1] += len(leaf.section(s))
+        for leaf in leaf_views(tree.leaf_store):
+            counts += leaf.counts
         assert_uniform(counts, len(records) / 4, label="ternary section counts")
 
     def test_ternary_prefix_mean_unbiased(self):
@@ -92,11 +93,7 @@ class TestKaryStatistics:
         rng = random.Random(8)
         records = [(rng.randrange(100_000), float(i)) for i in range(2700)]
         tree = build_kary(records, height=4, arity=3, seed=9)
-        sizes = [
-            len(leaf.section(s))
-            for leaf in tree.leaf_store.iter_leaves()
-            for s in range(1, 5)
-        ]
+        sizes = [count for leaf in leaf_views(tree.leaf_store) for count in leaf.counts]
         assert np.mean(sizes) == pytest.approx(
             expected_section_size(2700, 4, arity=3)
         )

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.acetree import InternalNodeView, LeafNode, TreeGeometry
-from repro.core import Box, Interval
+from repro.acetree import InternalNodeView, TreeGeometry
+from repro.acetree.nodes import LeafView
+from repro.core import Box, Field, Interval, Schema
+
+SCHEMA = Schema([Field("k", "i8"), Field("v", "f8")])
 
 
 @pytest.fixture
@@ -15,28 +18,34 @@ def geometry():
     )
 
 
-class TestLeafNode:
+def leaf_view(index, sections):
+    """A ``LeafView`` over ``sections`` (per-section ``(k, v)`` records)."""
+    return LeafView(
+        index=index,
+        schema=SCHEMA,
+        payload=b"".join(SCHEMA.pack_many(section) for section in sections),
+        counts=tuple(len(section) for section in sections),
+    )
+
+
+class TestLeafView:
     def test_basic_accessors(self):
-        leaf = LeafNode(
-            index=2,
-            sections=(((1, 0.0),), ((2, 0.0), (3, 0.0)), (), ((4, 0.0),)),
-        )
+        leaf = leaf_view(2, [[(1, 0.0)], [(2, 0.0), (3, 0.0)], [], [(4, 0.0)]])
+        assert leaf.index == 2
         assert leaf.height == 4
         assert leaf.num_records == 4
-        assert leaf.section(1) == ((1, 0.0),)
-        assert leaf.section(3) == ()
+        assert leaf.counts == (1, 2, 0, 1)
+        assert leaf.section_records(1) == ((1, 0.0),)
+        assert leaf.section_records(2) == ((2, 0.0), (3, 0.0))
+        assert leaf.section_records(3) == ()
+        assert leaf.page.records == [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0)]
 
     def test_section_bounds_checked(self):
-        leaf = LeafNode(index=0, sections=((), ()))
+        leaf = leaf_view(0, [[(1, 0.0)], []])
         with pytest.raises(IndexError):
-            leaf.section(0)
+            leaf.section_records(0)
         with pytest.raises(IndexError):
-            leaf.section(3)
-
-    def test_section_range(self, geometry):
-        leaf = LeafNode(index=3, sections=((), (), (), ()))
-        box = leaf.section_range(2, geometry)
-        assert box.sides[0] == Interval(0.0, 50.0)
+            leaf.section_records(3)
 
 
 class TestInternalNodeView:

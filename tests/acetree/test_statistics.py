@@ -21,6 +21,8 @@ from repro.core import Field, Schema
 from repro.storage import CostModel, HeapFile, SimulatedDisk
 from repro.testkit.stats import assert_uniform
 
+from ..conftest import leaf_views
+
 SCHEMA = Schema([Field("k", "i8"), Field("v", "f8")])
 
 
@@ -122,9 +124,8 @@ class TestSectionAssignmentDistribution:
         records = fixed_records(n, seed=4)
         tree = build_tree(records, height, seed=9)
         counts = np.zeros(height)
-        for leaf in tree.leaf_store.iter_leaves():
-            for s in range(1, height + 1):
-                counts[s - 1] += len(leaf.section(s))
+        for leaf in leaf_views(tree.leaf_store):
+            counts += leaf.counts
         assert_uniform(counts, n / height, label="section counts")
 
     def test_leaf_choice_uniform_within_ancestor(self):
@@ -135,7 +136,7 @@ class TestSectionAssignmentDistribution:
         tree = build_tree(records, height, seed=11)
         # Section 1 records may land in any of the 8 leaves, uniformly.
         counts = np.array(
-            [len(leaf.section(1)) for leaf in tree.leaf_store.iter_leaves()],
+            [leaf.counts[0] for leaf in leaf_views(tree.leaf_store)],
             dtype=float,
         )
         assert_uniform(counts, label="section-1 leaf spread")
@@ -156,8 +157,8 @@ class TestAppendabilityCombinability:
         for build_seed in range(builds):
             tree = build_tree(records, height, seed=3000 + build_seed)
             key = tree.geometry.split_key(1, 0)
-            for leaf in tree.leaf_store.iter_leaves():
-                for record in leaf.section(2):
+            for leaf in leaf_views(tree.leaf_store):
+                for record in leaf.section_records(2):
                     if record[0] < key:
                         left_captured += 1
                     else:

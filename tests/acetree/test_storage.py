@@ -7,7 +7,9 @@ import pytest
 from repro.acetree.storage import LeafStoreWriter
 from repro.core import Field, Schema
 from repro.core.errors import SerializationError, StorageError
+from repro.obs import CONTEXT, COST
 from repro.storage import CostModel, SimulatedDisk
+from repro.testkit.faults import FaultEvent, FaultPlan, FaultyDisk
 
 
 @pytest.fixture
@@ -39,20 +41,20 @@ class TestWriterBasics:
         sections = [[(1, 1.0)], [(2, 2.0), (3, 3.0)], []]
         writer.append_leaf(0, *packed(schema, sections))
         store = writer.finish()
-        leaf = store.read_leaf(0)
+        leaf = store.read_leaf_view(0)
         assert leaf.index == 0
-        assert leaf.section(1) == ((1, 1.0),)
-        assert leaf.section(2) == ((2, 2.0), (3, 3.0))
-        assert leaf.section(3) == ()
+        assert leaf.section_records(1) == ((1, 1.0),)
+        assert leaf.section_records(2) == ((2, 2.0), (3, 3.0))
+        assert leaf.section_records(3) == ()
 
     def test_missing_leaves_filled_empty(self, disk, schema):
         writer = LeafStoreWriter(disk, schema, height=2, num_leaves=4)
         writer.append_leaf(2, *packed(schema, [[(5, 5.0)], []]))
         store = writer.finish()
         assert store.num_leaves == 4
-        assert store.read_leaf(0).num_records == 0
-        assert store.read_leaf(2).num_records == 1
-        assert store.read_leaf(3).num_records == 0
+        assert store.read_leaf_view(0).num_records == 0
+        assert store.read_leaf_view(2).num_records == 1
+        assert store.read_leaf_view(3).num_records == 0
 
     def test_out_of_order_rejected(self, disk, schema):
         writer = LeafStoreWriter(disk, schema, height=2, num_leaves=4)
@@ -85,7 +87,7 @@ class TestWriterBasics:
             with pytest.raises(SerializationError):
                 writer.append_leaf(0, [1, 1], bad)
         writer.append_leaf(0, [1, 1], payload)  # nothing was written before
-        assert writer.finish().read_leaf(0).section(2) == ((2, 2.0),)
+        assert writer.finish().read_leaf_view(0).section_records(2) == ((2, 2.0),)
 
     def test_packed_leaf_layout(self, disk, schema):
         """Header (index, sections), one count per section, then the
@@ -125,10 +127,10 @@ class TestVariableSizeLeaves:
         store = writer.finish()
         first, span = store.leaf_page_span(0)
         assert span >= 3  # 100 * 16 bytes > 3 pages
-        leaf = store.read_leaf(0)
+        leaf = store.read_leaf_view(0)
         assert leaf.num_records == 100
-        assert leaf.section(1) == tuple(big[:50])
-        small = store.read_leaf(1)
+        assert leaf.section_records(1) == tuple(big[:50])
+        small = store.read_leaf_view(1)
         assert small.num_records == 1
 
     def test_leaf_byte_sizes_sum_to_stream(self, disk, schema):
@@ -148,7 +150,7 @@ class TestVariableSizeLeaves:
         writer.append_leaf(0, *packed(schema, [big, []]))
         store = writer.finish()
         disk.reset_clock()
-        store.read_leaf(0)
+        store.read_leaf_view(0)
         _first, span = store.leaf_page_span(0)
         assert disk.stats.seeks == 1
         assert disk.stats.page_reads == span
@@ -168,6 +170,73 @@ class TestVariableSizeLeaves:
         assert all(a is b for a, b in zip(cold, memo))  # decode memo hits
         assert store.pages_read == 2 * spans
         assert disk.stats.page_reads - reads0 == 2 * spans
+
+
+class TestMemoHitChargesLikeAMiss:
+    """A memo hit and a cold read are charged by the same code."""
+
+    ORDER = (0, 3, 1, 2, 3, 0)
+
+    def _store(self, disk, schema):
+        writer = LeafStoreWriter(disk, schema, height=2, num_leaves=4)
+        for leaf in range(4):
+            records = [(i, float(i)) for i in range(40 + 30 * leaf)]
+            writer.append_leaf(leaf, *packed(schema, [records[::2], records[1::2]]))
+        store = writer.finish()
+        assert all(store.leaf_page_span(i)[1] > 1 for i in self.ORDER)
+        return store
+
+    def _ledger(self, disk, schema, warm):
+        """Read ``ORDER`` twice; cold clears the memo before every read."""
+        store = self._store(disk, schema)
+        disk.reset_clock()
+        views = []
+        COST.arm()
+        try:
+            with CONTEXT.push(tenant="t0"):
+                for i in self.ORDER * 2:
+                    if not warm:
+                        store._memo.clear()
+                    views.append(store.read_leaf_view(i))
+            cost = COST.snapshot()
+        finally:
+            COST.reset()
+        # Warm, every re-read is a memo hit; cold, every read decodes anew.
+        distinct = len({id(view) for view in views})
+        assert distinct == (len(set(self.ORDER)) if warm else len(views))
+        stats = disk.stats
+        return (disk.clock, stats.seeks, stats.sequential_accesses,
+                stats.io_time, stats.page_reads, store.pages_read, cost)
+
+    def test_plain_disk(self, schema):
+        ledgers = [
+            self._ledger(SimulatedDisk(page_size=512, cost=CostModel.scaled(512)),
+                         schema, warm)
+            for warm in (True, False)
+        ]
+        assert ledgers[0] == ledgers[1]
+        assert ledgers[0][-1]["page_reads"] == {"tenant=t0": ledgers[0][4]}
+
+    def test_faulty_disk_faults_on_memo_hit_pages(self, schema):
+        spans = sum(
+            self._store(SimulatedDisk(page_size=512), schema).leaf_page_span(i)[1]
+            for i in self.ORDER
+        )
+        # Read ordinals past the first pass fall on the second, whose every
+        # read is a memo hit when warm: the touches must fault and retry
+        # exactly where the cold reads do.
+        faults = [spans, spans + 1, spans + 5]
+        ledgers, injected = [], []
+        for warm in (True, False):
+            plan = FaultPlan(events=[
+                FaultEvent("read", ordinal, "transient", 0) for ordinal in faults
+            ])
+            disk = FaultyDisk(page_size=512, cost=CostModel.scaled(512), plan=plan)
+            ledgers.append(self._ledger(disk, schema, warm))
+            injected.append([(e.ordinal, e.kind) for e in plan.injected])
+        assert ledgers[0] == ledgers[1]
+        assert injected[0] == injected[1] == [(o, "transient") for o in faults]
+        assert ledgers[0][-1]["retry_io_seconds"]["tenant=t0"] > 0
 
 
 class TestReadLeafPayload:
@@ -233,22 +302,22 @@ class TestReadLeafPayload:
 
 
 class TestStoreApi:
-    def test_iter_leaves(self, disk, schema):
+    def test_views_read_in_index_order(self, disk, schema):
         writer = LeafStoreWriter(disk, schema, height=2, num_leaves=3)
         for leaf in range(3):
             writer.append_leaf(leaf, *packed(schema, [[(leaf, 0.0)], []]))
         store = writer.finish()
-        got = list(store.iter_leaves())
+        got = [store.read_leaf_view(i) for i in range(store.num_leaves)]
         assert [leaf.index for leaf in got] == [0, 1, 2]
-        assert [leaf.section(1)[0][0] for leaf in got] == [0, 1, 2]
+        assert [leaf.section_records(1)[0][0] for leaf in got] == [0, 1, 2]
 
     def test_read_out_of_range(self, disk, schema):
         writer = LeafStoreWriter(disk, schema, height=2, num_leaves=1)
         store = writer.finish()
         with pytest.raises(StorageError):
-            store.read_leaf(1)
+            store.read_leaf_view(1)
         with pytest.raises(StorageError):
-            store.read_leaf(-1)
+            store.read_leaf_payload(-1)
 
     def test_free_releases_pages(self, disk, schema):
         writer = LeafStoreWriter(disk, schema, height=2, num_leaves=2)

@@ -3,8 +3,7 @@
 Both descents (binary fast path, k-ary generic loop) are free of tracing
 code; one post-pass over the chosen path makes the traced updates.  For
 either arity, a traced stream must pick the same leaves, leave the same
-toggle state, and make the same ``stab.level.*`` and ``query.stab_depth``
-updates — the aggregates and the flight-recorder events, in order — as
+toggle state, and leave the same ``stab.level.*`` aggregates as
 :class:`GenericStabStream`, a test-local copy of the generic loop that
 every traced descent used to take (counting inline at every level).
 """
@@ -16,12 +15,11 @@ import random
 import pytest
 
 from repro.acetree import AceBuildParams, build_ace_tree
-from repro.acetree.query import _STAB_DEPTH_BOUNDS, SampleStream
+from repro.acetree.query import SampleStream
 from repro.core import Box, Field, Interval, Schema
 from repro.core.errors import QueryError
-from repro.obs import FLIGHT, METRICS
+from repro.obs import METRICS
 from repro.obs.context import CONTEXT
-from repro.obs.flight import deterministic_view
 from repro.obs.tracer import TRACER
 from repro.storage import CostModel, HeapFile, SimulatedDisk
 
@@ -77,9 +75,6 @@ class GenericStabStream(SampleStream):
                     choice = pool[0]
                 next_child[(level, index)] = (choice + 1) % arity
             level, index = child_level, base + choice
-        if tracing:
-            METRICS.histogram("query.stab_depth", _STAB_DEPTH_BOUNDS).observe(
-                self._height - 1)
         return index
 
 
@@ -140,15 +135,14 @@ def _descend_all(tree, stream_cls) -> tuple[list, list]:
 
 def _traced_run(tree, stream_cls) -> tuple:
     METRICS.reset()
+    TRACER.enable()
     try:
-        with FLIGHT.recording(capacity=400_000):
-            leaves, toggles = _descend_all(tree, stream_cls)
-            assert FLIGHT.dropped == 0
-            events = deterministic_view(FLIGHT.snapshot())
+        leaves, toggles = _descend_all(tree, stream_cls)
         snapshot = METRICS.snapshot()
     finally:
+        TRACER.disable()
         METRICS.reset()
-    return leaves, toggles, snapshot, events
+    return leaves, toggles, snapshot
 
 
 @pytest.mark.parametrize("arity,height", [(2, 7), (3, 4)])
@@ -156,12 +150,11 @@ def test_traced_descent_matches_the_generic_loop(arity, height):
     tree = _tree(height, arity)
     fast = _traced_run(tree, SampleStream)
     generic = _traced_run(tree, GenericStabStream)
-    fast_leaves, fast_toggles, fast_snapshot, fast_events = fast
-    generic_leaves, generic_toggles, generic_snapshot, generic_events = generic
+    fast_leaves, fast_toggles, fast_snapshot = fast
+    generic_leaves, generic_toggles, generic_snapshot = generic
     assert fast_leaves == generic_leaves
     assert fast_toggles == generic_toggles
     assert fast_snapshot == generic_snapshot
-    assert fast_events == generic_events
 
     # The comparison covered every branch, and the run left aggregates only.
     counters = fast_snapshot["counters"]
@@ -169,17 +162,9 @@ def test_traced_descent_matches_the_generic_loop(arity, height):
     for branch in ("overlap", "drain", "pruned"):
         assert any(name.endswith(f".{branch}") for name in counters)
     stabs = sum(len(seq) for seq in fast_leaves)
-    depth = fast_snapshot["histograms"]["query.stab_depth"]
-    assert depth["count"] == stabs
     for level in range(1, height):
         assert counters.get(f"stab.level.{level}.overlap", 0) + counters.get(
             f"stab.level.{level}.drain", 0) == stabs
-    # One event per update: a branch per level and the depth per stab,
-    # plus each pruned bump; none carries labels.
-    metric_events = [event for event in fast_events if event["kind"] == "metric"]
-    pruned = sum(1 for event in metric_events if event["name"].endswith(".pruned"))
-    assert len(metric_events) == stabs * height + pruned
-    assert not any("labels" in event for event in metric_events)
 
 
 def test_untraced_descent_matches_the_generic_loop():

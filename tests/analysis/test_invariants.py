@@ -89,10 +89,10 @@ class TestCheckTree:
     def test_max_leaves_caps_the_scan(self, built, monkeypatch):
         _records, tree = built
         read = []
-        original = tree.leaf_store.read_leaf
+        original = tree.leaf_store.read_leaf_view
         monkeypatch.setattr(
             tree.leaf_store,
-            "read_leaf",
+            "read_leaf_view",
             lambda index: read.append(index) or original(index),
         )
         check_tree(tree, max_leaves=2, probe_batches=0)

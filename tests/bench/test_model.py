@@ -57,7 +57,7 @@ class TestGeometryAgreement:
         model = model_for(cost, 0.025)
         disk.reset_clock()
         before = disk.clock
-        tree.leaf_store.read_leaf(tree.num_leaves // 2)
+        tree.leaf_store.read_leaf_view(tree.num_leaves // 2)
         measured = disk.clock - before
         assert measured == pytest.approx(model.leaf_read_seconds(), rel=0.35)
 

@@ -126,6 +126,11 @@ def record_multiset(records, key_fields=(0, 1)):
     return Counter(tuple(r[i] for i in key_fields) for r in records)
 
 
+def leaf_views(store):
+    """Every leaf of a leaf store as its ``LeafView``, in index order."""
+    return [store.read_leaf_view(i) for i in range(store.num_leaves)]
+
+
 def drain(batches):
     """Collect every record from a batch stream."""
     out = []

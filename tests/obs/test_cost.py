@@ -54,17 +54,20 @@ class TestAttribution:
         assert snap["page_writes"] == {"": 1, "tenant=t0": 1}
         assert snap["attributed_writes"] == snap["charged_writes"] == 2
 
-    def test_touch_pages_attributes_the_batch_count(self):
+    def test_touch_page_attributed_like_a_read(self):
         disk = _disk()
         start = _write_pages(disk, 3)
         COST.arm()
         try:
             with CONTEXT.push(query="q7"):
-                disk.touch_pages(range(start, start + 3))
+                for pid in range(start, start + 3):
+                    disk.touch_page(pid)
+            with CONTEXT.push(query="q8"):
+                disk.read_page(start)
         finally:
             COST.disarm()
         snap = COST.snapshot()
-        assert snap["page_reads"] == {"query=q7": 3}
+        assert snap["page_reads"] == {"query=q7": 3, "query=q8": 1}
         assert snap["conserved"]
 
     def test_retry_backoff_io_attributed(self):

@@ -17,18 +17,22 @@ from repro.obs.flight import (
 from repro.obs.tracer import TRACER
 
 
-def _metric_events(recorder, n, start=0):
+def _fault_events(recorder, n, start=0):
     for i in range(start, start + n):
-        recorder.record_metric(f"test.metric_{i}", "counter", i)
+        recorder.record_fault(
+            {"op": "read", "ordinal": i, "kind": "transient", "page": i}
+        )
+
+
+#: A metric update as dumps written before metrics left the ring hold it.
+OLD_METRIC_EVENT = {"kind": "metric", "v": FLIGHT_VERSION,
+                    "name": "query.records", "metric": "counter", "value": 2.0}
 
 
 class TestRingSemantics:
     def test_disarmed_recorder_ignores_everything(self):
         recorder = FlightRecorder(capacity=4)
-        _metric_events(recorder, 3)
-        recorder.record_fault(
-            {"op": "read", "ordinal": 1, "kind": "transient", "page": 2}
-        )
+        _fault_events(recorder, 3)
         assert recorder.snapshot() == []
         assert recorder.trip("ignored") is None
         assert recorder.trips == 0
@@ -36,25 +40,23 @@ class TestRingSemantics:
     def test_capture_in_arrival_order(self):
         recorder = FlightRecorder(capacity=8)
         recorder.arm()
-        _metric_events(recorder, 3)
-        names = [e["name"] for e in recorder.snapshot()]
-        assert names == ["test.metric_0", "test.metric_1", "test.metric_2"]
+        _fault_events(recorder, 3)
+        ordinals = [e["ordinal"] for e in recorder.snapshot()]
+        assert ordinals == [0, 1, 2]
         assert recorder.dropped == 0
 
     def test_ring_wrap_keeps_newest_and_counts_dropped(self):
         recorder = FlightRecorder()
         recorder.arm(capacity=4)
-        _metric_events(recorder, 10)
+        _fault_events(recorder, 10)
         events = recorder.snapshot()
-        assert [e["name"] for e in events] == [
-            "test.metric_6", "test.metric_7", "test.metric_8", "test.metric_9",
-        ]
+        assert [e["ordinal"] for e in events] == [6, 7, 8, 9]
         assert recorder.dropped == 6
 
     def test_rearm_clears_ring_disarm_preserves_it(self):
         recorder = FlightRecorder(capacity=4)
         recorder.arm()
-        _metric_events(recorder, 2)
+        _fault_events(recorder, 2)
         recorder.disarm()
         assert len(recorder.snapshot()) == 2  # post-mortem readout works
         recorder.arm()
@@ -91,7 +93,7 @@ class TestTrips:
     def test_trip_auto_dumps_when_path_configured(self, tmp_path):
         recorder = FlightRecorder(capacity=4)
         recorder.arm(auto_dump_path=tmp_path / "dump.jsonl")
-        _metric_events(recorder, 2)
+        _fault_events(recorder, 2)
         out = recorder.trip("recovery-exhausted")
         assert out == tmp_path / "dump.jsonl"
         header = json.loads(out.read_text().splitlines()[0])
@@ -118,6 +120,16 @@ class TestRecordingContext:
         kinds = [e["kind"] for e in FLIGHT.snapshot()]
         assert "span" in kinds
 
+    def test_metric_updates_stay_out_of_the_ring(self):
+        from repro.obs import METRICS
+
+        with FLIGHT.recording(capacity=16):
+            with TRACER.span("flight.test_span"):
+                METRICS.counter("flight.test_counter").inc()
+                METRICS.gauge("flight.test_gauge").set(1.0)
+                METRICS.histogram("flight.test_hist", (1.0,)).observe(0.5)
+        assert [e["kind"] for e in FLIGHT.snapshot()] == ["span"]
+
     def test_spans_carry_wall_keys_for_schema_validity(self):
         with FLIGHT.recording(capacity=8):
             with TRACER.span("flight.test_span"):
@@ -131,14 +143,14 @@ class TestDumpArtifact:
         with FLIGHT.recording(capacity=16):
             with TRACER.span("flight.test_span"):
                 pass
-            FLIGHT.record_metric("query.records", "counter", 2)
             FLIGHT.record_fault(
                 {"op": "read", "ordinal": 0, "kind": "transient", "page": 1}
             )
             events = FLIGHT.snapshot()
-        assert "labels" not in events[1]
-        # Dumps from releases that labeled metric updates still validate.
-        events.append({**events[1], "labels": {"tenant": "t0"}})
+        # Dumps from releases whose ring held metric updates, labeled or
+        # not, still validate.
+        events.append(OLD_METRIC_EVENT)
+        events.append({**OLD_METRIC_EVENT, "labels": {"tenant": "t0"}})
         path = write_dump(events, tmp_path / "dump.jsonl", "test", dropped=0)
         problems = validate_jsonl(path)
         assert problems == [], problems
@@ -165,6 +177,14 @@ class TestDeterministicView:
             "kind": "span", "name": "s", "start_sim": 0.5, "end_sim": 0.75,
         }
         assert view[1] == events[1]
+
+    def test_strips_wall_keys_nested_in_quality_records(self):
+        tta = {"epsilon": 0.2, "n": 50, "sim_seconds": 0.25}
+        event = {"kind": "quality", "label": "t0/q0",
+                 "estimator": {"n": 50, "tta": [{**tta, "wall_seconds": 0.01}]}}
+        (view,) = deterministic_view([event])
+        assert view == {"kind": "quality", "label": "t0/q0",
+                        "estimator": {"n": 50, "tta": [tta]}}
 
     def test_span_ids_renumbered_densely(self):
         events = [

@@ -119,6 +119,5 @@ class TestTracedQueryReport:
         assert "== per-level stab table ==" in text
         assert "== sampling-rate timeline (ACE stabs, simulated clock) ==" in text
         assert "== histogram query.pages_per_stab" in text
-        assert "== histogram query.stab_depth" in text
         assert "ace_query.stab" in text
         assert "leaf_store.read_leaf" in text

@@ -11,6 +11,8 @@ from repro.core import Box, Interval
 from repro.testkit.generators import build_ace as build
 from repro.testkit.generators import int_ranges, key_lists
 
+from ..conftest import leaf_views
+
 keys_strategy = key_lists()
 range_strategy = int_ranges()
 
@@ -22,10 +24,10 @@ class TestBuildInvariants:
         records, tree = build(keys, height, seed)
         geom = tree.geometry
         stored = []
-        for leaf in tree.leaf_store.iter_leaves():
+        for leaf in leaf_views(tree.leaf_store):
             for s in range(1, height + 1):
                 box = geom.section_box(leaf.index, s)
-                for record in leaf.section(s):
+                for record in leaf.section_records(s):
                     stored.append(record)
                     assert box.contains_point((record[0],))
         assert Counter(r[1] for r in stored) == Counter(r[1] for r in records)

@@ -205,8 +205,9 @@ class TestAceBuildFastPathEquivalence:
             finally:
                 ext_sort_mod.USE_FAST_PATH = old
             leaves = [
-                tree.leaf_store.read_leaf(i)
-                for i in range(tree.num_leaves)
+                (leaf.index, leaf.counts, leaf.page.records)
+                for leaf in map(tree.leaf_store.read_leaf_view,
+                                range(tree.num_leaves))
             ]
             return leaves, disk.clock
 

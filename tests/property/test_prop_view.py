@@ -87,9 +87,9 @@ class TestLeafStoreRoundtrip:
             writer.append_leaf(index, *packed(sections))
         store = writer.finish()
         for index, sections in enumerate(leaves):
-            leaf = store.read_leaf(index)
+            leaf = store.read_leaf_view(index)
             for s in range(3):
-                assert list(leaf.section(s + 1)) == sections[s]
+                assert list(leaf.section_records(s + 1)) == sections[s]
 
     @given(st.lists(leaf_sections, min_size=1, max_size=4),
            st.integers(0, 3))
@@ -103,7 +103,7 @@ class TestLeafStoreRoundtrip:
             writer.append_leaf(gap + offset, *packed(sections))
         store = writer.finish()
         for index in range(gap):
-            assert store.read_leaf(index).num_records == 0
+            assert store.read_leaf_view(index).num_records == 0
 
 
 # -- delta merge ---------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Unit tests for the decoded-page cache (the baselines' buffer manager)."""
+"""Unit tests for the decoded-page cache (the baselines' buffer manager)
+and the leaf store's cost-transparent decode memo."""
 
 import pytest
 
 from repro.core.errors import BufferPoolError
-from repro.storage import CostModel, RecordPageCache, SimulatedDisk
+from repro.storage import CostModel, DecodeMemo, RecordPageCache, SimulatedDisk
 
 
 @pytest.fixture
@@ -93,3 +94,42 @@ class TestRecordPageCache:
         assert len(cache) == 0
         cache.read(start)
         assert cache.misses == 1
+
+
+class TestDecodeMemo:
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(BufferPoolError):
+            DecodeMemo(0)
+
+    def test_evicts_least_recently_used_at_capacity(self):
+        memo = DecodeMemo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert len(memo) == 2
+        memo.put("c", 3)  # full: the oldest entry goes
+        assert "a" not in memo
+        assert memo.get("a") is None
+        assert (memo.get("b"), memo.get("c")) == (2, 3)
+        assert len(memo) == 2
+
+    def test_hit_refreshes_recency(self):
+        memo = DecodeMemo(3)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        # A hit refreshes even below capacity: "b" is now the least recent.
+        assert memo.get("a") == 1
+        memo.put("c", 3)
+        memo.put("d", 4)
+        assert "b" not in memo
+        assert all(key in memo for key in "acd")
+
+    def test_put_of_a_present_key_replaces_and_refreshes(self):
+        memo = DecodeMemo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        memo.put("a", 10)
+        memo.put("c", 3)
+        assert "b" not in memo
+        assert memo.get("a") == 10
+        memo.clear()
+        assert len(memo) == 0

@@ -14,6 +14,8 @@ from repro.workloads import (
     generate_sale_zipf,
 )
 
+from ..conftest import leaf_views
+
 
 @pytest.fixture
 def disk():
@@ -101,7 +103,7 @@ class TestAceUnderSkew:
         tree = build_ace_tree(
             heap, AceBuildParams(key_fields=("day",), height=5, seed=1)
         )
-        sizes = [leaf.num_records for leaf in tree.leaf_store.iter_leaves()]
+        sizes = [leaf.num_records for leaf in leaf_views(tree.leaf_store)]
         mean = float(np.mean(sizes))
         assert max(sizes) < 3.5 * mean
 
