@@ -36,26 +36,9 @@ Subpackages:
   and the per-figure benchmark harness.
 """
 
-from .acetree import (
-    AceBuildParams,
-    AceTree,
-    SampleBatch,
-    SampleStream,
-    build_ace_tree,
-)
-from .apps import FrequentItemEstimator, OnlineAggregator, StreamingKMeans
-from .baselines import (
-    PermutedFile,
-    RTree,
-    RankedBPlusTree,
-    build_bplus_tree,
-    build_permuted_file,
-    build_rtree,
-)
-from .core import Box, Field, Interval, Record, ReproError, Schema
-from .storage import CostModel, HeapFile, SimulatedDisk, external_sort
-from .view import Catalog, MaterializedSampleView, create_sample_view
-from .workloads import generate_sale_1d, generate_sale_2d, queries_1d, queries_2d
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -93,3 +76,42 @@ __all__ = [
     "queries_2d",
     "__version__",
 ]
+
+#: Each public name under the subpackage that defines it; ``import repro``
+#: imports a subpackage on the first use of one of its names.
+_EXPORTS = {
+    "acetree": ("AceBuildParams", "AceTree", "SampleBatch", "SampleStream",
+                "build_ace_tree"),
+    "apps": ("FrequentItemEstimator", "OnlineAggregator", "StreamingKMeans"),
+    "baselines": ("PermutedFile", "RTree", "RankedBPlusTree",
+                  "build_bplus_tree", "build_permuted_file", "build_rtree"),
+    "core": ("Box", "Field", "Interval", "Record", "ReproError", "Schema"),
+    "storage": ("CostModel", "HeapFile", "SimulatedDisk", "external_sort"),
+    "view": ("Catalog", "MaterializedSampleView", "create_sample_view"),
+    "workloads": ("generate_sale_1d", "generate_sale_2d", "queries_1d",
+                  "queries_2d"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    from .acetree import (
+        AceBuildParams,
+        AceTree,
+        SampleBatch,
+        SampleStream,
+        build_ace_tree,
+    )
+    from .apps import FrequentItemEstimator, OnlineAggregator, StreamingKMeans
+    from .baselines import (
+        PermutedFile,
+        RTree,
+        RankedBPlusTree,
+        build_bplus_tree,
+        build_permuted_file,
+        build_rtree,
+    )
+    from .core import Box, Field, Interval, Record, ReproError, Schema
+    from .storage import CostModel, HeapFile, SimulatedDisk, external_sort
+    from .view import Catalog, MaterializedSampleView, create_sample_view
+    from .workloads import generate_sale_1d, generate_sale_2d, queries_1d, queries_2d

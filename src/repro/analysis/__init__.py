@@ -13,7 +13,9 @@ Two halves guard the invariants the paper's claims rest on:
 See ``docs/ANALYSIS.md`` for the rule catalogue and extension guide.
 """
 
-from .invariants import SampleCheckReport, check_sample, check_stream, check_tree
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .lint import (
     RULES,
     Finding,
@@ -36,3 +38,16 @@ __all__ = [
     "lint_file",
     "lint_paths",
 ]
+
+#: The runtime checkers load the engine's statistics (scipy), so they are
+#: imported on first use; the lint pass above needs only the standard
+#: library.
+_EXPORTS = {
+    "invariants": ("SampleCheckReport", "check_sample", "check_stream",
+                   "check_tree"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    from .invariants import SampleCheckReport, check_sample, check_stream, check_tree

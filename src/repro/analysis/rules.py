@@ -410,7 +410,7 @@ def check_excepts(ctx: LintContext) -> Iterator[Finding]:
 _HOT_MODULES = {"acetree.query", "acetree.storage", "storage.sample_cache"}
 
 #: Method calls that decode a whole record set in one go.
-_HOT_EAGER_CALLS = {"section_records", "to_leaf_node", "unpack_many"}
+_HOT_EAGER_CALLS = {"section_records", "unpack_many"}
 
 #: An attribute whose *load* decodes every record of a page/batch
 #: (``PageView.records``, ``SampleBatch.records``).
@@ -421,7 +421,7 @@ _HOT_EAGER_ATTR = "records"
 #: Anything else (the stab loop, Combine filing/draining, cache
 #: fetch/insert) must stay lazy; one-off exceptions carry a
 #: ``# repro: allow[HOT001]`` comment explaining why.
-_HOT_SANCTIONED_FUNCS = {"records", "materialize", "take", "read_leaf"}
+_HOT_SANCTIONED_FUNCS = {"records", "take"}
 
 
 def _walk_with_function(tree: ast.AST) -> Iterator[tuple[ast.AST, str | None]]:

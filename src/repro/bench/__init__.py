@@ -1,55 +1,45 @@
 """Benchmark harness: sampling races, per-figure experiments, reporting.
 
-Submodules are imported lazily (PEP 562) so that importing ``repro.bench``
-for a single symbol does not drag in the figure harness (which itself
-imports the whole library).
+Submodules are imported lazily (PEP 562, :mod:`repro._lazy`) so that
+importing ``repro.bench`` for a single symbol does not drag in the figure
+harness (which itself imports the whole library).  The figure and scale
+presets come from the engine-free :mod:`repro.bench.presets`.
 """
 
 from typing import TYPE_CHECKING
 
-_FIGURE_EXPORTS = {
-    "ACE",
-    "BPLUS",
-    "FIGURES",
-    "PERMUTED",
-    "RTREE",
-    "SCALES",
-    "ExperimentContext",
-    "FigureResult",
-    "FigureSpec",
-    "Scale",
-    "clear_context_cache",
-    "get_context",
-    "run_figure",
-}
-_MODEL_EXPORTS = {"ExperimentModel"}
-_RACE_EXPORTS = {"AveragedCurve", "RaceCurve", "average_curves", "make_grid", "run_race"}
-_REPORT_EXPORTS = {"format_figure", "format_summary"}
+from .._lazy import lazy_exports
 
-__all__ = sorted(
-    _FIGURE_EXPORTS
-    | _MODEL_EXPORTS
-    | _RACE_EXPORTS
-    | _REPORT_EXPORTS
-)
+#: Each public name under the submodule that defines it.
+_EXPORTS = {
+    "figures": ("ACE", "BPLUS", "PERMUTED", "RTREE", "ExperimentContext",
+                "FigureResult", "clear_context_cache", "get_context",
+                "run_figure"),
+    "model": ("ExperimentModel",),
+    "presets": ("FIGURES", "SCALES", "FigureSpec", "Scale"),
+    "race": ("AveragedCurve", "RaceCurve", "average_curves", "make_grid",
+             "run_race"),
+    "report": ("format_figure", "format_summary"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from .figures import (  # noqa: F401
         ACE,
         BPLUS,
-        FIGURES,
         PERMUTED,
         RTREE,
-        SCALES,
         ExperimentContext,
         FigureResult,
-        FigureSpec,
-        Scale,
         clear_context_cache,
         get_context,
         run_figure,
     )
     from .model import ExperimentModel  # noqa: F401
+    from .presets import FIGURES, SCALES, FigureSpec, Scale  # noqa: F401
     from .race import (  # noqa: F401
         AveragedCurve,
         RaceCurve,
@@ -58,19 +48,3 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         run_race,
     )
     from .report import format_figure, format_summary  # noqa: F401
-
-
-def __getattr__(name: str):
-    if name in _FIGURE_EXPORTS:
-        from . import figures as module
-    elif name in _MODEL_EXPORTS:
-        from . import model as module
-    elif name in _RACE_EXPORTS:
-        from . import race as module
-    elif name in _REPORT_EXPORTS:
-        from . import report as module
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(module, name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value

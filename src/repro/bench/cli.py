@@ -65,20 +65,12 @@ import sys
 import time  # repro: allow[CLK001] reports real wall seconds per figure run
 from pathlib import Path
 
-from .figures import FIGURES, SCALES, run_figure
-from .report import format_figure
-
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate the evaluation figures of the ACE Tree paper.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _figures_arguments(figures: argparse.ArgumentParser) -> None:
+    from .presets import FIGURES, SCALES
 
-    figures = sub.add_parser("figures", help="run figure experiments")
     figures.add_argument(
         "names",
         nargs="*",
@@ -121,12 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "Chrome trace_event file is written next to it) and print the report",
     )
 
-    sub.add_parser("list", help="list the figure inventory")
 
-    trace = sub.add_parser(
-        "trace",
-        help="run one operation under the dual-clock tracer and report on it",
-    )
+def _trace_arguments(trace: argparse.ArgumentParser) -> None:
+    from .presets import SCALES
+
     trace.add_argument(
         "operation",
         choices=("build", "query", "figure", "validate", "diff",
@@ -192,9 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "test's divergent half",
     )
 
-    lint = sub.add_parser(
-        "lint", help="run the repro static analysis pass (see docs/ANALYSIS.md)"
-    )
+
+def _lint_arguments(lint: argparse.ArgumentParser) -> None:
     lint.add_argument(
         "paths",
         nargs="*",
@@ -251,9 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "opt-in, edits files under PATH",
     )
 
-    bench = sub.add_parser(
-        "bench", help="run wall-clock micro-benchmarks of the implementation"
-    )
+
+def _bench_arguments(bench: argparse.ArgumentParser) -> None:
     bench.add_argument(
         "--json",
         action="store_true",
@@ -316,11 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "committed trace, naming the first divergent span",
     )
 
-    obs = sub.add_parser(
-        "obs",
-        help="telemetry exposition: Prometheus text or a live terminal "
-        "dashboard (see docs/OBSERVABILITY.md)",
-    )
+
+def _obs_arguments(obs: argparse.ArgumentParser) -> None:
     obs_mode = obs.add_subparsers(dest="obs_command", required=True)
     expose = obs_mode.add_parser(
         "expose",
@@ -367,12 +352,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rows per dashboard table (default 8)",
     )
 
+
+def _serve_arguments(serve: argparse.ArgumentParser) -> None:
     from ..serve.cli import add_serve_parser
+
+    add_serve_parser(serve)
+
+
+def _testkit_arguments(testkit: argparse.ArgumentParser) -> None:
     from ..testkit.cli import add_testkit_parser
 
-    add_serve_parser(sub)
-    add_testkit_parser(sub)
-    return parser
+    add_testkit_parser(testkit)
 
 
 def _run_compare(args, results: dict) -> int:
@@ -763,14 +753,19 @@ def _traced_query_workload(seed: int, sabotage: str | None = None):
     return recorder, quality
 
 
+def _known_figures(names) -> bool:
+    """True when every name is a known figure; else report the unknown ones."""
+    from .presets import FIGURES
+
+    unknown = [name for name in names if name not in FIGURES]
+    if unknown:
+        print(f"unknown figure(s): {', '.join(unknown)}; "
+              f"known: {', '.join(FIGURES)}", file=sys.stderr)
+    return not unknown
+
+
 def _run_trace(args) -> int:
     """``python -m repro trace <build|query|figure|validate|...>``."""
-    from ..acetree import AceBuildParams, build_ace_tree
-    from ..obs import METRICS, TraceRecorder
-    from ..storage.cost import CostModel
-    from ..storage.disk import SimulatedDisk
-    from ..workloads import generate_sale_1d
-
     if args.operation == "validate":
         return _run_validate(args.names)
     if args.operation == "diff":
@@ -787,15 +782,12 @@ def _run_trace(args) -> int:
         return 2
 
     if args.operation == "figure":
-        from ..obs import QualitySession
-        from .figures import clear_context_cache
-
         names = args.names or ["fig12"]
-        unknown = [name for name in names if name not in FIGURES]
-        if unknown:
-            print(f"unknown figure(s): {', '.join(unknown)}; "
-                  f"known: {', '.join(FIGURES)}", file=sys.stderr)
+        if not _known_figures(names):
             return 2
+        from ..obs import METRICS, QualitySession, TraceRecorder
+        from .figures import clear_context_cache, run_figure
+
         METRICS.reset()
         recorder = TraceRecorder(metrics=METRICS)
         quality = QualitySession(metrics=METRICS)
@@ -810,6 +802,12 @@ def _run_trace(args) -> int:
         return _export_trace(recorder, args.out, top=args.top, quality=quality.records())
 
     if args.operation == "build":
+        from ..acetree import AceBuildParams, build_ace_tree
+        from ..obs import METRICS, TraceRecorder
+        from ..storage.cost import CostModel
+        from ..storage.disk import SimulatedDisk
+        from ..workloads import generate_sale_1d
+
         METRICS.reset()
         recorder = TraceRecorder(metrics=METRICS)
         disk = SimulatedDisk(page_size=4096, cost=CostModel.scaled(4096))
@@ -824,54 +822,12 @@ def _run_trace(args) -> int:
     return _export_trace(recorder, args.out, top=args.top, quality=quality.records())
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-
-    if args.command == "bench":
-        return _run_bench(args)
-
-    if args.command == "trace":
-        return _run_trace(args)
-
-    if args.command == "obs":
-        return _run_obs(args)
-
-    if args.command == "serve":
-        from ..serve.cli import run_serve
-
-        return run_serve(args)
-
-    if args.command == "testkit":
-        from ..testkit.cli import run_testkit
-
-        return run_testkit(args)
-
-    if args.command == "lint":
-        from ..analysis.cli import run_lint
-
-        return run_lint(
-            args.paths,
-            as_json=args.json,
-            select=args.select,
-            program=args.program,
-            baseline=args.baseline,
-            update_baseline=args.update_baseline,
-            no_baseline=args.no_baseline,
-            sarif=args.sarif,
-            fix=args.fix,
-        )
-
-    if args.command == "list":
-        for name, spec in FIGURES.items():
-            print(f"{name:7s}  {spec.title}")
-            print(f"         paper shape: {spec.expected_shape}")
-        return 0
+def _run_figures(args) -> int:
+    """``python -m repro figures [FIG...]``: run and print the experiments."""
+    from .presets import FIGURES
 
     names = args.names or list(FIGURES)
-    unknown = [name for name in names if name not in FIGURES]
-    if unknown:
-        print(f"unknown figure(s): {', '.join(unknown)}; "
-              f"known: {', '.join(FIGURES)}", file=sys.stderr)
+    if not _known_figures(names):
         return 2
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -879,6 +835,8 @@ def main(argv: list[str] | None = None) -> int:
         status = _run_sanitize(args.seed)
         if status != 0:
             return status
+    from .figures import run_figure
+    from .report import format_figure
 
     recorder = None
     quality = None
@@ -908,6 +866,105 @@ def main(argv: list[str] | None = None) -> int:
     if recorder is not None:
         return _export_trace(recorder, args.trace, quality=quality.records())
     return 0
+
+
+def _run_list(args) -> int:
+    """``python -m repro list``: the figure inventory."""
+    from .presets import FIGURES
+
+    for name, spec in FIGURES.items():
+        print(f"{name:7s}  {spec.title}")
+        print(f"         paper shape: {spec.expected_shape}")
+    return 0
+
+
+def _run_lint(args) -> int:
+    from ..analysis.cli import run_lint
+
+    return run_lint(
+        args.paths,
+        as_json=args.json,
+        select=args.select,
+        program=args.program,
+        baseline=args.baseline,
+        update_baseline=args.update_baseline,
+        no_baseline=args.no_baseline,
+        sarif=args.sarif,
+        fix=args.fix,
+    )
+
+
+def _run_serve(args) -> int:
+    from ..serve.cli import run_serve
+
+    return run_serve(args)
+
+
+def _run_testkit(args) -> int:
+    from ..testkit.cli import run_testkit
+
+    return run_testkit(args)
+
+
+#: Every subcommand in ``--help`` order: its one-line help, the function
+#: that adds its arguments to its subparser (None: it takes none) and the
+#: function that runs it.  Only the chosen subcommand's arguments are
+#: built, and each of these imports the engine only on the paths that use
+#: it, so ``--help``, ``list``, ``lint``, ``obs`` and the ``trace``
+#: operations on existing files start without numpy or scipy.
+_COMMANDS = {
+    "figures": ("run figure experiments", _figures_arguments, _run_figures),
+    "list": ("list the figure inventory", None, _run_list),
+    "trace": (
+        "run one operation under the dual-clock tracer and report on it",
+        _trace_arguments, _run_trace,
+    ),
+    "lint": (
+        "run the repro static analysis pass (see docs/ANALYSIS.md)",
+        _lint_arguments, _run_lint,
+    ),
+    "bench": (
+        "run wall-clock micro-benchmarks of the implementation",
+        _bench_arguments, _run_bench,
+    ),
+    "obs": (
+        "telemetry exposition: Prometheus text or a live terminal "
+        "dashboard (see docs/OBSERVABILITY.md)",
+        _obs_arguments, _run_obs,
+    ),
+    "serve": (
+        "serve a seeded multi-tenant workload through the deterministic "
+        "scheduler and report per-tenant time-to-accuracy (docs/SERVING.md)",
+        _serve_arguments, _run_serve,
+    ),
+    "testkit": (
+        "fault-injection fuzzing of the samplers against a brute-force "
+        "oracle (see docs/TESTING.md)",
+        _testkit_arguments, _run_testkit,
+    ),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Regenerate the evaluation figures of the ACE Tree paper.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    # The top level takes no option but -h, so the first argument that is
+    # not an option names the subcommand.
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (text, add_arguments, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        if name == chosen and add_arguments is not None:
+            add_arguments(command)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
+    return _COMMANDS[args.command][2](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

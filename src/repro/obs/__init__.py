@@ -48,59 +48,20 @@ the modeled hardware would charge).  This package provides that view:
 
 Layering: ``obs`` sits beside ``core`` at the bottom of the package graph
 (lint rule LAY001); its one import from the library is the leaf
-:mod:`repro.core.stats`.  Every layer reports into it, so it must not depend
-on any of them.  The simulated clock is only ever *read* (``disk.clock`` /
-``disk.stats`` deltas at span boundaries), never charged: a traced run is
-bit-identical to an untraced one on the simulated clock, and golden figure
-outputs do not move.
+:mod:`repro.core.stats` (this ``__init__`` also uses the engine-free
+:mod:`repro._lazy`, which imports each public name's module on first use).
+Every layer reports into it, so it must not depend on any of them.  The
+simulated clock is only ever *read* (``disk.clock`` / ``disk.stats``
+deltas at span boundaries), never charged: a traced run is bit-identical
+to an untraced one on the simulated clock, and golden figure outputs do
+not move.
 
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and how to read traces.
 """
 
-from .analyze import (
-    TraceDiff,
-    cost_record,
-    critical_path,
-    diff_event_views,
-    diff_traces,
-    diff_verdict_record,
-    exemplar_records,
-    flamegraph_lines,
-    render_critical_path,
-    render_flamegraph_summary,
-    render_trace_diff,
-    span_paths,
-    trace_roots,
-)
-from .context import CONTEXT, LABEL_KEYS, TelemetryContext
-from .cost import COST, CostAccountant
-from .export import (
-    TraceFile,
-    export_chrome_trace,
-    export_jsonl,
-    read_trace,
-    strip_wall_keys,
-    to_chrome_trace,
-    validate_jsonl,
-)
-from .expose import parse_prometheus_text, prometheus_text, render_dashboard
-from .flight import FLIGHT, FlightRecorder
-from .metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
-from .quality import (
-    QualityConfig,
-    QualitySession,
-    StreamQualityMonitor,
-)
-from .recorder import TraceRecorder
-from .regress import RegressionReport, compare_benchmarks, render_diff
-from .report import (
-    page_read_attribution,
-    quality_sections,
-    render_report,
-    span_aggregates,
-)
-from .slo import BurnWindow, Objective, SloStatus, default_objectives, evaluate_slos
-from .tracer import NOOP_SPAN, TRACER, SpanRecord, Tracer
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 
 __all__ = [
     "BurnWindow",
@@ -159,3 +120,78 @@ __all__ = [
     "trace_roots",
     "validate_jsonl",
 ]
+
+#: Each public name under the submodule that defines it; a submodule is
+#: imported on the first use of one of its names, so the engine's imports
+#: of single obs modules do not load the rest.
+_EXPORTS = {
+    "analyze": ("TraceDiff", "cost_record", "critical_path",
+                "diff_event_views", "diff_traces", "diff_verdict_record",
+                "exemplar_records", "flamegraph_lines",
+                "render_critical_path", "render_flamegraph_summary",
+                "render_trace_diff", "span_paths", "trace_roots"),
+    "context": ("CONTEXT", "LABEL_KEYS", "TelemetryContext"),
+    "cost": ("COST", "CostAccountant"),
+    "export": ("TraceFile", "export_chrome_trace", "export_jsonl",
+               "read_trace", "strip_wall_keys", "to_chrome_trace",
+               "validate_jsonl"),
+    "expose": ("parse_prometheus_text", "prometheus_text", "render_dashboard"),
+    "flight": ("FLIGHT", "FlightRecorder"),
+    "metrics": ("METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "quality": ("QualityConfig", "QualitySession", "StreamQualityMonitor"),
+    "recorder": ("TraceRecorder",),
+    "regress": ("RegressionReport", "compare_benchmarks", "render_diff"),
+    "report": ("page_read_attribution", "quality_sections", "render_report",
+               "span_aggregates"),
+    "slo": ("BurnWindow", "Objective", "SloStatus", "default_objectives",
+            "evaluate_slos"),
+    "tracer": ("NOOP_SPAN", "TRACER", "SpanRecord", "Tracer"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    from .analyze import (
+        TraceDiff,
+        cost_record,
+        critical_path,
+        diff_event_views,
+        diff_traces,
+        diff_verdict_record,
+        exemplar_records,
+        flamegraph_lines,
+        render_critical_path,
+        render_flamegraph_summary,
+        render_trace_diff,
+        span_paths,
+        trace_roots,
+    )
+    from .context import CONTEXT, LABEL_KEYS, TelemetryContext
+    from .cost import COST, CostAccountant
+    from .export import (
+        TraceFile,
+        export_chrome_trace,
+        export_jsonl,
+        read_trace,
+        strip_wall_keys,
+        to_chrome_trace,
+        validate_jsonl,
+    )
+    from .expose import parse_prometheus_text, prometheus_text, render_dashboard
+    from .flight import FLIGHT, FlightRecorder
+    from .metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
+    from .quality import (
+        QualityConfig,
+        QualitySession,
+        StreamQualityMonitor,
+    )
+    from .recorder import TraceRecorder
+    from .regress import RegressionReport, compare_benchmarks, render_diff
+    from .report import (
+        page_read_attribution,
+        quality_sections,
+        render_report,
+        span_aggregates,
+    )
+    from .slo import BurnWindow, Objective, SloStatus, default_objectives, evaluate_slos
+    from .tracer import NOOP_SPAN, TRACER, SpanRecord, Tracer

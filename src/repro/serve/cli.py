@@ -31,12 +31,8 @@ __all__ = ["add_serve_parser", "render_serve_report", "run_serve"]
 _TARGETS_TEXT = ", ".join(f"{t:g}" for t in QualityConfig().tta_targets)
 
 
-def add_serve_parser(sub) -> None:
-    serve = sub.add_parser(
-        "serve",
-        help="serve a seeded multi-tenant workload through the deterministic "
-        "scheduler and report per-tenant time-to-accuracy (docs/SERVING.md)",
-    )
+def add_serve_parser(serve) -> None:
+    """Add the ``serve`` arguments to its (created) subparser."""
     serve.add_argument(
         "--workload", choices=WORKLOAD_SHAPES, default="bursty",
         help="arrival shape (default: bursty)",

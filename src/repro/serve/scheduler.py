@@ -491,7 +491,9 @@ class ServeScheduler:  # repro: shared[owner=serve.scheduler] the owner itself: 
         disk = self.disk
         while True:
             self._admit_due()
-            self._ring = [n for n in self._ring if self.tenants[n].has_work()]
+            # Every ring member has work: a tenant joins when admitted with
+            # a backlog and rejoins only if it still has work after its own
+            # quantum, and nothing between turns takes work away.
             if not self._ring:
                 if not self._events:
                     break

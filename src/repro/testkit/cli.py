@@ -36,13 +36,8 @@ from .serve import SERVE_MUTATIONS
 __all__ = ["add_testkit_parser", "run_testkit"]
 
 
-def add_testkit_parser(sub) -> None:
-    """Register the ``testkit`` subcommand on a subparsers object."""
-    testkit = sub.add_parser(
-        "testkit",
-        help="fault-injection fuzzing of the samplers against a brute-force "
-        "oracle (see docs/TESTING.md)",
-    )
+def add_testkit_parser(testkit) -> None:
+    """Add the ``testkit`` modes and arguments to its (created) subparser."""
     mode = testkit.add_subparsers(dest="testkit_command", required=True)
 
     fuzz_p = mode.add_parser(

@@ -4,13 +4,12 @@
 def stab_loop(leaf, codec, blob):
     decoded = leaf.page.records
     section = leaf.section_records(2)
-    node = leaf.to_leaf_node()
     rows = codec.unpack_many(blob, 4)
     ok = leaf.section_records(1)  # repro: allow[HOT001] fixture exemption
-    return decoded, section, node, rows, ok
+    return decoded, section, rows, ok
 
 
-def materialize(page):
+def records(page):
     return page.records
 
 

@@ -5,6 +5,7 @@ that module-relative rules (sanctioned modules, layering, acetree-only
 float checks) resolve exactly as they do against ``src/repro``.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from repro.analysis import (
     lint_file,
     lint_paths,
 )
+from repro.analysis import rules
 from repro.analysis.cli import run_lint
 from repro.analysis.lint import SYNTAX_RULE, module_path_of
 
@@ -141,10 +143,23 @@ class TestHot001:
     def test_eager_sites_flagged_boundaries_exempt(self):
         findings = lint_file(FIXTURES / "acetree" / "query.py")
         hot = [f for f in findings if f.rule == "HOT001"]
-        # Lines 5-8 materialize inside the loop; line 9 carries an allow
-        # comment; ``materialize``/``take`` are sanctioned boundaries.
-        assert [f.line for f in hot] == [5, 6, 7, 8]
+        # Lines 5-7 materialize inside the loop; line 8 carries an allow
+        # comment; ``records``/``take`` are sanctioned boundaries.
+        assert [f.line for f in hot] == [5, 6, 7]
         assert all("PERFORMANCE" in f.message for f in hot)
+
+    def test_every_listed_name_is_defined(self):
+        # A name that no function in the package defines guards nothing:
+        # both tables must follow renames and deletions.
+        src = Path(rules.__file__).resolve().parents[1]
+        defined = {
+            node.name
+            for path in src.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        listed = rules._HOT_EAGER_CALLS | rules._HOT_SANCTIONED_FUNCS
+        assert listed - defined == set()
 
     def test_rule_scoped_to_hot_modules(self, tmp_path):
         target = tmp_path / "repro" / "acetree"

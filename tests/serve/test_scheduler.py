@@ -16,9 +16,11 @@ from repro.serve.workload import Workload, WorkloadSpec
 from repro.storage import CostModel, HeapFile, SimulatedDisk
 from repro.testkit import FaultPlan, FaultyDisk
 from repro.testkit.generators import KV_SCHEMA, Scenario, make_records
+from repro.testkit.serve import generate_serve_scenario
 
 
-def _tree(n=500, height=4, page_size=512, seed=3, plan=None):
+def _tree(n=500, height=4, page_size=512, seed=3, plan=None,
+          key_range=1_000, distribution="uniform"):
     if plan is None:
         disk = SimulatedDisk(page_size=page_size,
                              cost=CostModel.scaled(page_size))
@@ -27,7 +29,7 @@ def _tree(n=500, height=4, page_size=512, seed=3, plan=None):
                           cost=CostModel.scaled(page_size), plan=plan)
         disk.armed = False  # faults strike the serving, not the build
     records = make_records(Scenario(
-        seed=seed, n=n, key_range=1_000, distribution="uniform",
+        seed=seed, n=n, key_range=key_range, distribution=distribution,
         height=height, arity=2, page_size=page_size, queries=(),
     ))
     heap = HeapFile.bulk_load(disk, KV_SCHEMA, records)
@@ -41,11 +43,11 @@ def _tree(n=500, height=4, page_size=512, seed=3, plan=None):
 
 
 def _workload(tree, *, tenants=4, queries=2, shape="steady",
-              closed_loop=False, mean_gap=0.001, seed=5):
+              closed_loop=False, mean_gap=0.001, seed=5, selectivity=0.5):
     domain = tree.geometry.domain.sides[0]
     spec = WorkloadSpec(
         shape=shape, tenants=tenants, queries_per_tenant=queries,
-        closed_loop=closed_loop, mean_gap=mean_gap, selectivity=0.5,
+        closed_loop=closed_loop, mean_gap=mean_gap, selectivity=selectivity,
         key_lo=domain.lo, key_hi=domain.hi,
     )
     return Workload(spec, seed=seed)
@@ -199,6 +201,56 @@ class _Watched(ServeScheduler):
 def _finished(scheduler):
     return [run for state in scheduler.tenants.values()
             for run in state.finished_runs]
+
+
+class _RingChecked(ServeScheduler):
+    """Checks at every turn that each tenant in the ring has work."""
+
+    def _pick_index(self) -> int:
+        idle = [name for name in self._ring
+                if not self.tenants[name].has_work()]
+        assert not idle, f"tenants without work in the ring: {idle}"
+        return super()._pick_index()
+
+
+class TestRingHoldsOnlyTenantsWithWork:
+    """The ring needs no per-turn filter: no member is ever without work.
+
+    A tenant joins the ring when it is admitted with a backlog and rejoins
+    only if it still has work after its own quantum; the serve fuzz
+    scenarios below also stop tenants on a page budget and cut runs at a
+    step horizon.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("mode", ["open", "closed", "budget", "horizon"])
+    def test_every_turn(self, seed, mode):
+        scenario = generate_serve_scenario(seed, with_faults=False)
+        tree = _tree(n=scenario.n, height=scenario.height,
+                     page_size=scenario.page_size, seed=scenario.seed,
+                     key_range=scenario.key_range,
+                     distribution=scenario.distribution)
+        workload = _workload(
+            tree, tenants=scenario.tenants,
+            queries=scenario.queries_per_tenant, shape=scenario.shape,
+            closed_loop=mode != "open", mean_gap=scenario.mean_gap,
+            seed=scenario.seed, selectivity=scenario.selectivity,
+        )
+        config = ServeConfig(
+            quantum_pages=scenario.quantum_pages,
+            page_budget=6 if mode == "budget" else None,
+            target_epsilon=None, max_samples=None,
+            max_steps=25 if mode == "horizon" else None,
+        )
+        scheduler = _RingChecked(tree, workload, config)
+        report = scheduler.run()
+        reasons = {run.reason for run in _finished(scheduler)}
+        if mode == "budget":
+            assert "budget" in reasons
+        elif mode == "horizon":
+            assert "horizon" in reasons
+        else:
+            assert report.totals()["completed"] == report.totals()["admitted"]
 
 
 class TestFinishedRunsReleaseStreams:
